@@ -24,10 +24,9 @@ production scale, in two smoke workloads and one large-tier workload:
   (``CHARGE_ONLY_MIN_SPEEDUP``, default 0.9) because eliding payloads must
   never make the run meaningfully slower.
 
-* **Parallel delivery stages** — the four
+* **Parallel delivery stages** — the three
   :class:`~repro.simulator.sharding.ShardedDelivery` stages (fault keep-mask,
-  grouped capacity counters, the round capacity sweep, fresh-pair filtering)
-  at production scale: m=2x10^6 tokens over n=2^22 nodes, 4-worker pool vs
+  grouped capacity counters, the round capacity sweep) at production scale: m=2x10^6 tokens over n=2^22 nodes, 4-worker pool vs
   the serial whole-array twin.  Results must be **bit-identical** (asserted
   in the same run); the speedup floor is relaxed
   (``SHARDED_DELIVERY_MIN_SPEEDUP``, default 1.2) and *waived* on
@@ -73,11 +72,7 @@ from repro.simulator._accel import cpu_count
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import TokenPlane, install_planner, plan_token_rounds
 from repro.simulator.network import HybridSimulator
-from repro.simulator.sharding import (
-    ShardedPlanner,
-    filter_fresh_keys,
-    span_keep_mask,
-)
+from repro.simulator.sharding import ShardedPlanner, span_keep_mask
 
 M_TOKENS = 100_000
 GROUPS = 64
@@ -219,10 +214,10 @@ def run_charge_only_comparison() -> Dict[str, Any]:
 
 
 def run_parallel_delivery_stages() -> Dict[str, Any]:
-    """The four ShardedDelivery stages at production scale, pool vs serial.
+    """The three ShardedDelivery stages at production scale, pool vs serial.
 
     m=2x10^6 tokens over n=2^22 nodes: the fault keep-mask, the grouped
-    capacity counters, the round capacity sweep and the fresh-pair filter.
+    capacity counters and the round capacity sweep.
     The pooled results must be bit-identical to the serial whole-array twin
     (asserted here); the speedup is the sum of best stage times.
     """
@@ -245,8 +240,6 @@ def run_parallel_delivery_stages() -> Dict[str, Any]:
         rng.integers(0, n, 2_000, dtype=np.int64) * n
         + rng.integers(0, n, 2_000, dtype=np.int64)
     )
-    keys = receivers * n + senders
-    levels = (np.unique(rng.integers(0, n * n, 1_000_000, dtype=np.int64)),)
     budget = int(np.bincount(senders, weights=wt, minlength=n).max() * 0.75)
 
     def serial_stages():
@@ -259,8 +252,7 @@ def run_parallel_delivery_stages() -> Dict[str, Any]:
             count = int(over.sum())
             first = int(np.argmax(over)) if count else -1
             triples.append((int(arr.max()), count, first))
-        fresh = filter_fresh_keys(np, keys, levels)
-        return mask, sent, recv, triples, fresh
+        return mask, sent, recv, triples
 
     with ShardedPlanner(WORKERS, use_processes=True, min_tokens=1) as planner:
         engine = planner.delivery()
@@ -272,8 +264,7 @@ def run_parallel_delivery_stages() -> Dict[str, Any]:
             recv = np.zeros(n)
             engine.apply_counters(np, senders, receivers, wt, sent, recv)
             swept = engine.sweep(np, sent, recv, budget)
-            fresh = engine.fresh_keys(np, keys, levels)
-            return mask, sent, recv, swept, fresh
+            return mask, sent, recv, swept
 
         pooled_stages()  # warm the pool off the clock
         serial_best = float("inf")
@@ -293,7 +284,6 @@ def run_parallel_delivery_stages() -> Dict[str, Any]:
         and bool(np.array_equal(serial[1], pooled[1]))
         and bool(np.array_equal(serial[2], pooled[2]))
         and (pooled[3] is None or serial[3] == [tuple(t) for t in pooled[3]])
-        and bool(np.array_equal(serial[4], pooled[4]))
     )
     return {
         "workload": f"parallel delivery stages m={M_DELIVERY} n=2^22",

@@ -148,15 +148,24 @@ def build_virtual_tree_on_subset(
 
 
 def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
-    identifiers = simulator.node_identifiers()
-    learn_known = simulator.knowledge.learn_known
-    for node in tree.order:
-        relatives = {identifiers[child] for child in tree.children[node]}
-        parent = tree.parent[node]
+    """Every tree node learns its parent's and its children's identifiers,
+    as one bulk pair-learning call."""
+    np = _accel.np
+    if np is not None:
+        idx, parent_idx = _tree_plane_layout(simulator, tree)
+        children, parents = idx[1:], parent_idx[1:]
+        simulator.knowledge.learn_pairs(
+            np.concatenate((children, parents)), np.concatenate((parents, children))
+        )
+        return
+    indexer = simulator.node_indexer()
+    children: List[int] = []
+    parents: List[int] = []
+    for node, parent in tree.parent.items():
         if parent is not None:
-            relatives.add(identifiers[parent])
-        if relatives:
-            learn_known(identifiers[node], relatives)
+            children.append(indexer[node])
+            parents.append(indexer[parent])
+    simulator.knowledge.learn_pairs(children + parents, parents + children)
 
 
 def _tree_plane_layout(simulator: HybridSimulator, tree: VirtualTree):

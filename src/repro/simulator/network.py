@@ -164,72 +164,6 @@ def node_sort_key(node: Node) -> Tuple[int, Any]:
     return (0, node)
 
 
-class _PairMemo:
-    """Monotone memo of flat ``a * n + b`` pair keys with a vectorised filter.
-
-    The plane paths only need per-(sender, receiver)-pair knowledge work the
-    *first* time a pair appears; rank-matched exchanges repeat the same pairs
-    every shard.  The memo keeps the authoritative Python set plus a
-    *two-level* sorted view: a big snapshot and a small recent buffer of keys
-    absorbed since the last merge.  A shard's keys are filtered against both
-    with ``searchsorted`` sweeps, so :meth:`unknown` is exact — every
-    returned key is genuinely new (modulo duplicates within the shard) and
-    never re-enters the caller's per-pair Python loop.  The buffers merge
-    geometrically (recent >= 1/4 of the set), keeping total re-sorting
-    linearithmic in the final set size however the keys trickle in.
-    """
-
-    __slots__ = ("known", "_sorted", "_recent")
-
-    def __init__(self) -> None:
-        self.known: Set[int] = set()
-        self._sorted = None
-        self._recent = None
-
-    def unknown(self, np, keys):
-        """The subset of ``keys`` not yet absorbed (exact; may have dupes)."""
-        for level in (self._sorted, self._recent):
-            if level is None or not level.size or not keys.size:
-                continue
-            slot = np.searchsorted(level, keys)
-            slot[slot == level.size] = 0
-            keys = keys[level[slot] != keys]
-        return keys
-
-    def levels(self):
-        """The non-empty sorted views, for the span-parallel filter twin of
-        :meth:`unknown` (:meth:`repro.simulator.sharding.ShardedDelivery.fresh_keys`)."""
-        return tuple(
-            level
-            for level in (self._sorted, self._recent)
-            if level is not None and level.size
-        )
-
-    def absorb(self, np, fresh) -> None:
-        """Fold a sorted array of newly-seen keys into the recent buffer.
-
-        The caller has already added them to :attr:`known`; once the recent
-        buffer outgrows a quarter of the set it is merged into the snapshot.
-        """
-        recent = self._recent
-        if recent is None or not recent.size:
-            recent = fresh
-        else:
-            recent = np.concatenate((recent, fresh))
-            recent.sort()
-        if 4 * recent.size >= len(self.known):
-            snapshot = self._sorted
-            if snapshot is None or not snapshot.size:
-                merged = recent
-            else:
-                merged = np.concatenate((snapshot, recent))
-                merged.sort()
-            self._sorted = merged
-            self._recent = None
-        else:
-            self._recent = recent
-
-
 class _PlaneBatch:
     """One queued shard of id-native traffic (see the module docstring).
 
@@ -239,29 +173,19 @@ class _PlaneBatch:
     (``None`` when the whole plane was sent).  ``payloads`` is ``None`` for
     charge-only traffic — scheduling, fault filtering, capacity accounting
     and id learning never read it; only :meth:`records` (inbox assembly)
-    does, and raises.  ``fresh_pairs`` (optional) is
-    the precomputed ``receiver * n + sender`` key column of the shard's
-    first-occurrence pairs — the only pairs sender-id learning can concern —
-    so delivery never rescans the full columns.  Per-receiver record tuples
-    are only built if the round's inbox is actually read.
+    does, and raises.  Per-receiver record tuples are only built if the
+    round's inbox is actually read.
     """
 
-    __slots__ = (
-        "senders", "receivers", "words", "payloads", "positions", "tag",
-        "fresh_pairs",
-    )
+    __slots__ = ("senders", "receivers", "words", "payloads", "positions", "tag")
 
-    def __init__(
-        self, senders, receivers, words, payloads, positions, tag,
-        fresh_pairs=None,
-    ) -> None:
+    def __init__(self, senders, receivers, words, payloads, positions, tag) -> None:
         self.senders = senders
         self.receivers = receivers
         self.words = words
         self.payloads = payloads
         self.positions = positions
         self.tag = tag
-        self.fresh_pairs = fresh_pairs
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -397,16 +321,7 @@ class HybridSimulator:
         # identifiers aligned with the node order, and the directed adjacency
         # as flat s * n + r keys for O(1)/vectorised edge validation.
         self._ids_by_index: Optional[List[int]] = None
-        self._ids_np: Optional[Any] = None
-        self._ids_table: Optional[Any] = None
         self._edge_keys: Optional[Any] = None
-        # Monotone plane-path memos: knowledge only ever grows, so an (s, r)
-        # pair that validated once stays valid, and an (r, s) pair whose
-        # sender identifier was taught once stays taught.  Rank-matched
-        # workloads repeat the same pairs every round; these memos cut the
-        # per-round knowledge work to the first occurrence of each pair.
-        self._validated_global_pairs = _PairMemo()
-        self._taught_pairs = _PairMemo()
         # Sharded delivery engine of the process-wide installed planner,
         # resolved lazily per planner identity (None = serial delivery).
         self._delivery_planner: Optional[Any] = None
@@ -470,13 +385,13 @@ class HybridSimulator:
         }
 
     def _init_knowledge(self) -> None:
-        self.knowledge = KnowledgeTracker(self._id_to_node.keys())
+        """Every node knows itself and its construction-time neighbours
+        (HYBRID_0), or everyone knows everything (HYBRID)."""
+        self.knowledge = KnowledgeTracker(self._identifier_array())
         if self.config.identifier_regime is IdentifierRegime.DENSE:
             self.knowledge.initialize_all_known()
         else:
-            for node in self._nodes:
-                neighbor_ids = [self._node_to_id[u] for u in self.graph.neighbors(node)]
-                self.knowledge.initialize_node(self._node_to_id[node], neighbor_ids)
+            self.knowledge.learn_pairs(*self._directed_edge_columns())
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -518,17 +433,7 @@ class HybridSimulator:
         """
         self._graph_version = graph_version(self.graph)
         self._ids_by_index = None
-        self._ids_np = None
-        self._ids_table = None
         self._edge_keys = None
-        # The pair memos cache per-(sender, receiver) validation/teaching
-        # facts keyed on flat indices; although knowledge itself is monotone,
-        # a mutated graph changes which pairs local sends may use and (in
-        # principle) which identifiers a rebuilt workload addresses, so the
-        # memos are dropped along with the arrays.  Re-validating known-good
-        # pairs is merely slow, never wrong.
-        self._validated_global_pairs = _PairMemo()
-        self._taught_pairs = _PairMemo()
 
     def _check_graph_version(self) -> None:
         """Raise :class:`StaleGraphError` if the graph mutated behind us.
@@ -552,53 +457,6 @@ class HybridSimulator:
             node_to_id = self._node_to_id
             ids = self._ids_by_index = [node_to_id[node] for node in self._nodes]
         return ids
-
-    def _identifier_take(self):
-        """Vectorised identifier lookup ``indices -> [id, ...]`` (cached).
-
-        An int64 take when the accelerator is active and every identifier is a
-        plain int (the sparse-regime default); otherwise a list-comprehension
-        fallback over :meth:`_identifier_array`.  Either way the result is a
-        list of the *original* identifier objects' values — np.int64 scalars
-        hash and compare like ints, so knowledge-set membership is unaffected.
-        """
-        take = self._ids_np
-        if take is None:
-            table = self._identifier_table()
-            if table is not None:
-
-                def take(indices):
-                    return table[indices].tolist()
-
-            else:
-                ids = self._identifier_array()
-
-                def take(indices):
-                    return [ids[i] for i in indices.tolist()]
-
-            self._ids_np = take
-        return take
-
-    def _identifier_table(self):
-        """The identifiers as an int64 array (cached), or ``None``.
-
-        Available exactly when the accelerator is active and every identifier
-        is a plain int (the sparse-regime default) — the array twin of
-        :meth:`_identifier_take` for callers that keep identifier columns
-        native (grouped validation, packed sender-id learning).
-        """
-        table = self._ids_table
-        if table is False:
-            return None
-        if table is None:
-            np = _accel.np
-            ids = self._identifier_array()
-            if np is not None and all(type(i) is int for i in ids):
-                table = self._ids_table = np.asarray(ids, dtype=np.int64)
-            else:
-                self._ids_table = False
-                return None
-        return table
 
     def _sharded_delivery(self):
         """The installed planner's delivery engine (``None`` = serial).
@@ -630,21 +488,30 @@ class HybridSimulator:
         keys = self._edge_keys
         if keys is None:
             n = self.n
-            index_of = self._index_of
-            pairs = set()
-            for u, v in self.graph.edges():
-                ui = index_of[u]
-                vi = index_of[v]
-                pairs.add(ui * n + vi)
-                pairs.add(vi * n + ui)
+            senders, receivers = self._directed_edge_columns()
             np = _accel.np
             if np is not None:
-                keys = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-                keys.sort()
+                keys = np.unique(senders * n + receivers)
             else:
-                keys = pairs
+                keys = {s * n + r for s, r in zip(senders, receivers)}
             self._edge_keys = keys
         return keys
+
+    def _directed_edge_columns(self):
+        """The live graph's edges in both directions, as parallel node-index
+        columns (int64 arrays when the accelerator is active, else lists)."""
+        index_of = self._index_of
+        us: List[int] = []
+        vs: List[int] = []
+        for u, v in self.graph.edges():
+            us.append(index_of[u])
+            vs.append(index_of[v])
+        np = _accel.np
+        if np is not None:
+            us = np.asarray(us, dtype=np.int64)
+            vs = np.asarray(vs, dtype=np.int64)
+            return np.concatenate((us, vs)), np.concatenate((vs, us))
+        return us + vs, vs + us
 
     def id_of(self, node: Node) -> int:
         self._require_node(node)
@@ -682,21 +549,19 @@ class HybridSimulator:
         """Record that every node in ``nodes`` learned the same identifiers.
 
         Equivalent to calling :meth:`declare_learned_ids` per node, but the
-        bogus-id filtering happens once for the shared set — the broadcast
-        idiom ("every cluster member learns all leader identifiers") is a
-        single pass over the learners.
+        broadcast idiom ("every cluster member learns all leader
+        identifiers") is stored once, as a knowledge group.  Every node is
+        validated first: an unknown node raises :class:`UnknownNodeError`
+        and nobody learns anything.
         """
-        valid = frozenset(self.knowledge.valid_ids(identifiers))
-        node_to_id = self._node_to_id
-
-        def identifiers_of():
-            for node in nodes:
-                identifier = node_to_id.get(node)
-                if identifier is None:
-                    raise UnknownNodeError(node)
-                yield identifier
-
-        self.knowledge.learn_shared(identifiers_of(), valid)
+        index_of = self._index_of
+        learners: List[int] = []
+        for node in nodes:
+            index = index_of.get(node)
+            if index is None:
+                raise UnknownNodeError(node)
+            learners.append(index)
+        self.knowledge.learn_group(learners, identifiers)
 
     def global_budget_words(self) -> int:
         """Per-node, per-round global budget in words.
@@ -817,8 +682,12 @@ class HybridSimulator:
         node_set = self._node_set
         node_to_id = self._node_to_id
         id_to_node = self._id_to_node
-        known_view = self.knowledge.known_ids_view
-        known_cache: Dict[Node, Set[int]] = {}
+        index_of = self._index_of
+        knows_index = self.knowledge.knows_index
+        n = self.n
+        # Pair keys validated in this call: rank-matched workloads repeat
+        # the same (sender, receiver) pairs many times.
+        known_pairs: Set[int] = set()
         buckets = self._pending_global
         sent_words = self._global_sent_words
         recv_words = self._global_recv_words
@@ -846,13 +715,16 @@ class HybridSimulator:
                         raise UnknownNodeError(receiver)
                     target_id = node_to_id[receiver]
                 if check_knowledge:
-                    known = known_cache.get(sender)
-                    if known is None:
-                        known = known_cache[sender] = known_view(node_to_id[sender])
-                    if target_id not in known:
-                        raise UnknownIdentifierError(
-                            f"node {sender!r} does not know identifier {target_id!r}"
-                        )
+                    sender_index = index_of[sender]
+                    receiver_index = index_of[receiver]
+                    key = sender_index * n + receiver_index
+                    if key not in known_pairs:
+                        if not knows_index(sender_index, receiver_index):
+                            raise UnknownIdentifierError(
+                                f"node {sender!r} does not know identifier "
+                                f"{target_id!r}"
+                            )
+                        known_pairs.add(key)
                 words += tag_words
                 bucket = buckets.get(receiver)
                 if bucket is None:
@@ -935,99 +807,19 @@ class HybridSimulator:
             if not 0 <= value < n:
                 raise UnknownNodeError(value)
 
-    def _validate_plane_knowledge(self, s_sel, r_sel, pair_s=None, pair_r=None) -> None:
-        """HYBRID_0 knowledge check over the shard's *unique* (s, r) pairs.
+    def _validate_plane_knowledge(self, senders, receivers) -> None:
+        """HYBRID_0 knowledge check of a shard's (sender, receiver) columns,
+        as one bulk store probe.
 
-        Repeated pairs (the common case in rank-matched workloads) cost one
-        set probe, not one per token; the error reported is the earliest
-        offending token in submission order, like the tuple path.  When the
-        caller supplies the shard's first-occurrence pair columns (``pair_s``
-        / ``pair_r``, in submission order — see
-        :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), the check
-        runs on those directly: a pair's validity is decided at its first
-        token, and the earliest offending pair's first occurrence *is* the
-        earliest offending token.
+        The error names the first offending pair in column order, which the
+        caller makes the earliest offending token in submission order.
         """
-        ids = self._identifier_array()
-        known_view = self.knowledge.known_ids_view
-        memo = self._validated_global_pairs
-        validated = memo.known
-        n = self.n
-        np = _accel.np
-        if np is not None and pair_s is not None:
-            s_sel = pair_s
-            r_sel = pair_r
-        if np is not None and isinstance(s_sel, np.ndarray):
-            key_column = s_sel * n + r_sel
-            candidates = memo.unknown(np, key_column)
-            if not candidates.size:
-                return
-            uniq = np.unique(candidates)
-            sender_col = uniq // n
-            target_col = uniq % n
-            starts = np.flatnonzero(
-                np.concatenate(
-                    (np.ones(1, dtype=bool), sender_col[1:] != sender_col[:-1])
-                )
+        position = self.knowledge.first_unknown(senders, receivers)
+        if position is not None:
+            raise UnknownIdentifierError(
+                f"node {self._nodes[int(senders[position])]!r} does not know "
+                f"identifier {self._identifier_array()[int(receivers[position])]!r}"
             )
-            bounds = np.append(starts, sender_col.size).tolist()
-            table = self._identifier_table()
-            packed_mask = self.knowledge.packed_known_mask
-            offending: Set[int] = set()
-            for g, sender_index in enumerate(sender_col[starts].tolist()):
-                lo, hi = bounds[g], bounds[g + 1]
-                targets = target_col[lo:hi]
-                sender_id = ids[sender_index]
-                if table is not None and targets.size >= 64:
-                    # Vectorised pre-filter: pairs the packed knowledge layer
-                    # already covers skip the per-target probe loop (bulk
-                    # reply traffic along learned pairs is the common case).
-                    target_ids = table[targets]
-                    miss = ~packed_mask(np, sender_id, target_ids)
-                    if not bool(miss.any()):
-                        continue
-                    probe_indices = targets[miss].tolist()
-                    probe_ids = target_ids[miss].tolist()
-                else:
-                    probe_indices = targets.tolist()
-                    probe_ids = [ids[t] for t in probe_indices]
-                known = known_view(sender_id)
-                base = sender_index * n
-                for target_index, target_id in zip(probe_indices, probe_ids):
-                    if target_id not in known:
-                        offending.add(base + target_index)
-            if offending:
-                # Report the earliest offending token in submission order,
-                # matching the tuple path and the pure-Python fallback.  The
-                # memo is left untouched — nothing was queued, so the good
-                # pairs of a failing shard simply re-validate later.
-                position = int(
-                    np.argmax(np.isin(key_column, np.fromiter(offending, np.int64)))
-                )
-                sender_index = int(s_sel[position])
-                raise UnknownIdentifierError(
-                    f"node {self._nodes[sender_index]!r} does not know "
-                    f"identifier {ids[int(r_sel[position])]!r}"
-                )
-            validated.update(uniq.tolist())
-            memo.absorb(np, uniq)
-            return
-        known_cache: Dict[int, Set[int]] = {}
-        for k in range(len(s_sel)):
-            sender_index = s_sel[k]
-            key = sender_index * n + r_sel[k]
-            if key in validated:
-                continue
-            known = known_cache.get(sender_index)
-            if known is None:
-                known = known_cache[sender_index] = known_view(ids[sender_index])
-            target = ids[r_sel[k]]
-            if target not in known:
-                raise UnknownIdentifierError(
-                    f"node {self._nodes[sender_index]!r} does not know "
-                    f"identifier {target!r}"
-                )
-            validated.add(key)
 
     def global_send_plane(self, plane, positions=None, tag: Optional[str] = None) -> int:
         """Queue a shard of an id-native token plane over the global mode.
@@ -1054,32 +846,31 @@ class HybridSimulator:
         self._validate_index_range(s_sel)
         self._validate_index_range(r_sel)
         np = _accel.np
-        fresh_pairs = None
-        pair_s = pair_r = None
-        if np is not None and isinstance(s_sel, np.ndarray):
-            # The shard's distinct pairs, via the plane's first-occurrence
-            # spine: per-pair knowledge work (validation below, sender-id
-            # learning at delivery) reduces to this (tiny) subset — pairs
-            # whose first occurrence fell in an earlier shard were handled
-            # when that shard was queued/delivered.
-            spine = plane.pair_spine(np)
-            if positions is None:
-                sel_first = spine
-            else:
-                sorted_pos = (
-                    positions
-                    if positions.size < 2
-                    or bool((positions[1:] >= positions[:-1]).all())
-                    else np.sort(positions)
-                )
-                loc = np.searchsorted(sorted_pos, spine)
-                loc[loc == sorted_pos.size] = 0
-                sel_first = spine[sorted_pos[loc] == spine]
-            pair_s = plane.senders[sel_first]
-            pair_r = plane.receivers[sel_first]
-            fresh_pairs = pair_r * self.n + pair_s
         if self.config.is_hybrid0():
-            self._validate_plane_knowledge(s_sel, r_sel, pair_s, pair_r)
+            pair_s, pair_r = s_sel, r_sel
+            if np is not None and isinstance(s_sel, np.ndarray):
+                # The shard's distinct pairs, via the plane's first-occurrence
+                # spine, in submission order: a pair's validity is decided at
+                # its first token, so the earliest offending pair's first
+                # occurrence is the earliest offending token.  Pairs whose
+                # first occurrence fell in an earlier shard validated when
+                # that shard was queued, and knowledge only grows.
+                spine = plane.pair_spine(np)
+                if positions is None:
+                    sel_first = spine
+                else:
+                    sorted_pos = (
+                        positions
+                        if positions.size < 2
+                        or bool((positions[1:] >= positions[:-1]).all())
+                        else np.sort(positions)
+                    )
+                    loc = np.searchsorted(sorted_pos, spine)
+                    loc[loc == sorted_pos.size] = 0
+                    sel_first = spine[sorted_pos[loc] == spine]
+                pair_s = plane.senders[sel_first]
+                pair_r = plane.receivers[sel_first]
+            self._validate_plane_knowledge(pair_s, pair_r)
         nodes = self._nodes
         sent_words = self._global_sent_words
         recv_words = self._global_recv_words
@@ -1113,7 +904,7 @@ class HybridSimulator:
             _PlaneBatch(
                 s_sel, r_sel, wt,
                 None if self.charge_only else plane.payloads,
-                positions, tag, fresh_pairs,
+                positions, tag,
             )
         )
         self._pending_global_msgs += count
@@ -1410,14 +1201,10 @@ class HybridSimulator:
         # identifier (the sender attaches it implicitly).  In the dense regime
         # everyone already knows every identifier, so the bookkeeping is
         # skipped.
-        if self.config.identifier_regime is IdentifierRegime.SPARSE:
-            if self._pending_global:
-                node_to_id = self._node_to_id
-                learn = self.knowledge.learn
-                for receiver, records in self._pending_global.items():
-                    learn(node_to_id[receiver], {node_to_id[record[0]] for record in records})
-            if self._pending_global_planes:
-                self._learn_from_planes(self._pending_global_planes)
+        if self.config.identifier_regime is IdentifierRegime.SPARSE and (
+            self._pending_global or self._pending_global_planes
+        ):
+            self._learn_senders()
 
         # Deliver: the pending buckets become the inboxes of this round.
         self._delivered_local = self._pending_local
@@ -1477,83 +1264,38 @@ class HybridSimulator:
             self.committed_link_removals.extend(removed)
             self.invalidate_index()
 
-    def _learn_from_planes(self, planes: List["_PlaneBatch"]) -> None:
-        """Sparse-regime sender-identifier learning, per unique (r, s) pair.
+    def _learn_senders(self) -> None:
+        """Sparse-regime sender-identifier learning for the whole round.
 
-        Equivalent to the per-record set comprehension of the tuple path —
-        each receiver learns the identifier set of its senders this round —
-        but grouped: duplicated pairs (rank-matched workloads) cost one set
-        insertion instead of one per token.
+        Every delivered global message teaches its receiver the sender's
+        identifier.  The round's (receiver, sender) index columns, from the
+        tuple buckets and every plane batch, go to the knowledge store in
+        one bulk call.
         """
-        ids = self._identifier_array()
-        learn_known = self.knowledge.learn_known
-        memo = self._taught_pairs
-        taught = memo.known
-        n = self.n
+        index_of = self._index_of
+        receivers: List[int] = []
+        senders: List[int] = []
+        for receiver, records in self._pending_global.items():
+            receiver_index = index_of[receiver]
+            for record in records:
+                receivers.append(receiver_index)
+                senders.append(index_of[record[0]])
+        planes = self._pending_global_planes
         np = _accel.np
-        delivery = self._sharded_delivery() if np is not None else None
-        sender_ids_of: Dict[int, Set[int]] = {}
-        fresh_chunks: List[Any] = []
-        for batch in planes:
-            s_sel = batch.senders
-            r_sel = batch.receivers
-            if np is not None and batch.fresh_pairs is not None:
-                keys = batch.fresh_pairs
-            elif np is not None and isinstance(s_sel, np.ndarray):
-                keys = r_sel * n + s_sel
-            else:
-                for k in range(len(s_sel)):
-                    key = r_sel[k] * n + s_sel[k]
-                    if key in taught:
-                        continue
-                    taught.add(key)
-                    sender_ids_of.setdefault(r_sel[k], set()).add(ids[s_sel[k]])
-                continue
-            if delivery is not None:
-                candidates = delivery.fresh_keys(np, keys, memo.levels())
-            else:
-                candidates = memo.unknown(np, keys)
-            if candidates.size:
-                fresh_chunks.append(candidates)
-        for receiver_index, id_set in sender_ids_of.items():
-            learn_known(ids[receiver_index], id_set)
-        if not fresh_chunks:
-            return
-        uniq = np.unique(
-            fresh_chunks[0] if len(fresh_chunks) == 1 else np.concatenate(fresh_chunks)
-        )
-        uniq_list = uniq.tolist()
-        taught.update(uniq_list)
-        memo.absorb(np, uniq)
-        # A taught (r, s) pair is the knowledge fact "r knows s's identifier",
-        # which is exactly validation key r * n + s — seed the validation memo
-        # so reply traffic along the same pairs skips the per-pair probe loop.
-        validated = self._validated_global_pairs
-        validated.known.update(uniq_list)
-        validated.absorb(np, uniq)
-        receiver_col = uniq // n
-        sender_col = uniq % n
-        starts = np.flatnonzero(
-            np.concatenate((np.ones(1, dtype=bool), receiver_col[1:] != receiver_col[:-1]))
-        )
-        bounds = np.append(starts, receiver_col.size).tolist()
-        receiver_ids = self._identifier_take()(receiver_col[starts])
-        table = self._identifier_table()
-        if table is not None:
-            # Packed learning: each receiver's new sender ids as a sorted
-            # int64 array folded into the knowledge tracker's packed layer —
-            # C-speed merges instead of per-id set inserts (see
-            # KnowledgeTracker.learn_known_array).
-            sender_id_col = table[sender_col]
-            learn_array = self.knowledge.learn_known_array
-            for g, receiver_id in enumerate(receiver_ids):
-                learn_array(
-                    receiver_id, np.sort(sender_id_col[bounds[g] : bounds[g + 1]])
-                )
+        if np is not None:
+            receivers = np.concatenate(
+                [np.asarray(receivers, dtype=np.int64)]
+                + [np.asarray(batch.receivers, dtype=np.int64) for batch in planes]
+            )
+            senders = np.concatenate(
+                [np.asarray(senders, dtype=np.int64)]
+                + [np.asarray(batch.senders, dtype=np.int64) for batch in planes]
+            )
         else:
-            sender_ids = self._identifier_take()(sender_col)
-            for g, receiver_id in enumerate(receiver_ids):
-                learn_known(receiver_id, sender_ids[bounds[g] : bounds[g + 1]])
+            for batch in planes:
+                receivers.extend(batch.receivers)
+                senders.extend(batch.senders)
+        self.knowledge.learn_pairs(receivers, senders)
 
     # ------------------------------------------------------------------
     # Fault injection (see repro.simulator.faults)
@@ -1654,9 +1396,7 @@ class HybridSimulator:
         when installed — elementwise, so bit-identical for any worker count),
         then the RNG consumes one draw per crash/edge survivor in ascending
         token order, exactly like the scalar loop — the drop decisions and
-        the draw stream match the serial path bit for bit.  A filtered batch
-        loses its precomputed ``fresh_pairs``; the id-learning pass recomputes
-        pairs from the surviving columns instead of trusting a stale spine.
+        the draw stream match the serial path bit for bit.
         """
         if not planes:
             return 0
@@ -1709,7 +1449,6 @@ class HybridSimulator:
                     batch.payloads,
                     new_positions,
                     batch.tag,
-                    None,
                 )
                 continue
             if hasattr(senders, "tolist"):
@@ -1748,7 +1487,6 @@ class HybridSimulator:
                 batch.payloads,
                 new_positions_list,
                 batch.tag,
-                None,
             )
         return dropped
 

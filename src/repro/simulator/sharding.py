@@ -74,14 +74,13 @@ Sharded delivery
 ----------------
 :class:`ShardedDelivery` extends the same machinery from planning to
 ``advance_round``'s delivery stages: fault keep-masks over the plane
-columns, grouped per-node capacity reductions, the round capacity sweep,
-and the sparse-regime learning-key filter.  Unlike scheduling — which needs
-the component partition — every delivery stage is either token-elementwise
-or an exact reduce-then-merge (integer word weights summed in float64 are
-exact below 2^53), so ascending contiguous spans partition the work and the
-span-order merge reproduces the serial arrays **bit-identically** for every
-worker count, with or without the process pool (see DESIGN.md, "Sharded
-delivery").
+columns, grouped per-node capacity reductions and the round capacity
+sweep.  Unlike scheduling — which needs the component partition — every
+delivery stage is either token-elementwise or an exact reduce-then-merge
+(integer word weights summed in float64 are exact below 2^53), so ascending
+contiguous spans partition the work and the span-order merge reproduces the
+serial arrays **bit-identically** for every worker count, with or without
+the process pool (see DESIGN.md, "Sharded delivery").
 """
 
 from __future__ import annotations
@@ -504,41 +503,6 @@ def _sweep_range_worker(shm_name: str, n: int, lo: int, hi: int, budget: int):
         shm.close()
 
 
-def filter_fresh_keys(np, keys, levels):
-    """Order-preserving filter of ``keys`` against sorted memo ``levels``.
-
-    The span-parallel twin of ``_PairMemo.unknown``: filtering a span equals
-    the span of the whole-column filter, so concatenating span results in
-    ascending span order reproduces the serial candidate stream exactly.
-    """
-    filtered = False
-    for level in levels:
-        if len(level) and len(keys):
-            slots = np.searchsorted(level, keys)
-            slots[slots == len(level)] = 0
-            keys = keys[level[slots] != keys]
-            filtered = True
-    return keys if filtered else np.array(keys, dtype=np.int64)
-
-
-def _fresh_keys_worker(shm_name: str, k: int, l1: int, l2: int, lo: int, hi: int):
-    """Memo-filter the key span ``[lo, hi)`` (runs in a worker).
-
-    Block layout: ``[keys(k) | level1(l1) | level2(l2)]``.
-    """
-    np = _accel.np
-    shm = _attach_block(shm_name)
-    try:
-        block = np.ndarray((k + l1 + l2,), dtype=np.int64, buffer=shm.buf)
-        return filter_fresh_keys(
-            np,
-            block[lo:hi],
-            (block[k : k + l1], block[k + l1 : k + l1 + l2]),
-        )
-    finally:
-        shm.close()
-
-
 # ----------------------------------------------------------------------
 # The planner
 # ----------------------------------------------------------------------
@@ -784,7 +748,7 @@ class ShardedDelivery:
     a pool failure in either layer permanently degrades both to in-process
     execution.  Unlike planning — where components matter because the greedy
     counters couple tokens — every delivery stage is either token-elementwise
-    (fault masks, memo filtering) or an exact reduction of integer word
+    (fault masks) or an exact reduction of integer word
     weights (per-node counters, capacity sweep), so *any* contiguous
     partition merged in ascending span order is bit-identical to the serial
     whole-array computation.  The in-process fallback of each stage therefore
@@ -978,34 +942,6 @@ class ShardedDelivery:
                 )
             )
         return merged
-
-    def fresh_keys(self, np, keys, levels):
-        """Order-preserving pair-memo filter of a plane's packed pair keys.
-
-        ``levels`` are the memo's sorted arrays (at most two).  Elementwise
-        and order-preserving, so ascending-span concatenation equals the
-        serial :func:`filter_fresh_keys` over the whole key column.
-        """
-        k = len(keys)
-        if self._want_pool(k):
-            levels = [level for level in levels if len(level)][:2]
-            while len(levels) < 2:
-                levels.append(keys[:0])
-            bounds = self._bounds(k)
-            level_sizes = (len(levels[0]), len(levels[1]))
-            parts = self._pool_spans(
-                np,
-                (keys, levels[0], levels[1]),
-                np.int64,
-                _fresh_keys_worker,
-                lambda name: [
-                    (name, k, level_sizes[0], level_sizes[1], lo, hi)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ],
-            )
-            if parts is not None:
-                return np.concatenate(parts)
-        return filter_fresh_keys(np, keys, levels)
 
 
 def planner_from_env() -> Optional[ShardedPlanner]:

@@ -127,7 +127,7 @@ def _knowledge_state(sim):
 
 
 def _force_pool(planner):
-    """Drop every delivery threshold so all four stages hit the real pool."""
+    """Drop every delivery threshold so all three stages hit the real pool."""
     engine = planner.delivery()
     engine.min_tokens = 1
     engine.process_min_tokens = 1

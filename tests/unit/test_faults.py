@@ -15,6 +15,7 @@ import pytest
 
 from repro.graphs.generators import path_graph
 from repro.simulator.config import ModelConfig
+from repro.simulator.errors import UnknownIdentifierError
 from repro.simulator.faults import (
     CapacityDegradation,
     CrashEvent,
@@ -338,33 +339,39 @@ def test_resilient_dissemination_reports_removed_edges():
 
 
 # ----------------------------------------------------------------------
-# invalidate_index regression (satellite: memos and cached arrays reset)
+# invalidate_index regression: cached arrays reset, knowledge survives
 # ----------------------------------------------------------------------
 def test_invalidate_index_resets_arrays_and_pair_memos():
+    # The simulator no longer keeps pair memos: knowledge lives in one store
+    # that invalidate_index() leaves alone, while the cached arrays reset.
     sim = HybridSimulator(path_graph(8), ModelConfig.hybrid0(), seed=1)
     indexer = sim.node_indexer()
-    # Populate every cache the plane paths maintain: identifier arrays and
-    # edge keys via a local plane send, the pair memos via a global send
-    # between neighbors (validation + teaching).
+    # Populate every cache the plane paths maintain (identifier array and
+    # edge keys via a local plane send) and teach 3 its sender's identifier
+    # with a global send between neighbours.
     sim.local_send_batch_ids([indexer[0]], [indexer[1]], ["l"])
     sim.global_send_batch_ids([indexer[2]], [indexer[3]], ["g"])
+    sim.declare_learned_ids(5, [sim.id_of(0)])
     sim.advance_round()
     assert sim._ids_by_index is not None
     assert sim._edge_keys is not None
-    assert sim._validated_global_pairs.known
-    assert sim._taught_pairs.known
-    memo_before = sim._validated_global_pairs
+    known_before = {node: sim.known_ids(node) for node in sim.nodes}
 
     sim.invalidate_index()
 
     assert sim._ids_by_index is None
-    assert sim._ids_np is None
     assert sim._edge_keys is None
-    # Fresh, empty memo objects — not the stale ones emptied in place.
-    assert sim._validated_global_pairs is not memo_before
-    assert not sim._validated_global_pairs.known
-    assert not sim._taught_pairs.known
-    # The simulator still works after invalidation: caches rebuild lazily.
+    # Knowledge survives invalidation ...
+    assert {node: sim.known_ids(node) for node in sim.nodes} == known_before
+    assert sim.knows_id(5, sim.id_of(0))
+    # ... and sends still validate against it: a neighbour pair and a
+    # learned pair pass, an unknown pair fails and queues nothing.
     sim.global_send_batch_ids([indexer[2]], [indexer[3]], ["g2"])
+    sim.global_send_batch_ids([indexer[5]], [indexer[0]], ["learned"])
+    with pytest.raises(UnknownIdentifierError):
+        sim.global_send_batch_ids([indexer[0]], [indexer[5]], ["unknown"])
     sim.advance_round()
-    assert ("g2" in [record[1] for record in sim.per_node_inbox(GLOBAL_MODE)[3]])
+    inbox = sim.per_node_inbox(GLOBAL_MODE)
+    assert "g2" in [record[1] for record in inbox[3]]
+    assert "learned" in [record[1] for record in inbox[0]]
+    assert 5 not in inbox

@@ -5,7 +5,9 @@ synchronisation, the :class:`~repro.graphs.index.GraphIndex` self-loop
 rejection (via the public BFS and Dijkstra entry points), the bounded
 ``get_index`` fallback memo for non-weakrefable graph-likes, and the
 staleness guards downstream of the version stamp: ``SSSPRowCache``,
-``DenseDistanceTable`` and the simulator plane-send paths.
+``DenseDistanceTable`` and the simulator plane-send paths.  HYBRID_0
+identifier knowledge stays as it was at construction under every kind of
+edge edit.
 """
 
 from __future__ import annotations
@@ -27,9 +29,58 @@ from repro.graphs.mutation import GraphMutator
 from repro.graphs.properties import h_hop_limited_distances, weighted_distances_from
 from repro.core.shortest_paths import DenseDistanceTable
 from repro.simulator.config import ModelConfig
-from repro.simulator.errors import StaleGraphError
+from repro.simulator.errors import StaleGraphError, UnknownIdentifierError
+from repro.simulator.faults import FaultSchedule, LinkFailure
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
+
+
+def _neighbour_knowledge(sim, pairs):
+    """Which ordered pairs ``(u, v)`` have ``u`` knowing ``v``'s identifier."""
+    return {(u, v): sim.knows_id(u, sim.id_of(v)) for u, v in pairs}
+
+
+# ----------------------------------------------------------------------
+# HYBRID_0 neighbour knowledge is fixed at construction
+# ----------------------------------------------------------------------
+def test_knowledge_survives_edge_removal():
+    graph = path_graph(6)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=2)
+    GraphMutator(graph).remove_edge(2, 3)
+    sim.invalidate_index()
+    assert _neighbour_knowledge(sim, [(2, 3), (3, 2)]) == {(2, 3): True, (3, 2): True}
+    # A global send along the removed edge still validates.
+    sim.global_send(2, sim.id_of(3), "still known")
+    sim.advance_round()
+    assert sim.global_inbox(3)[0].payload == "still known"
+
+
+def test_new_edge_teaches_nothing():
+    graph = path_graph(6)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=2)
+    GraphMutator(graph).add_edge(0, 5)
+    sim.invalidate_index()
+    assert _neighbour_knowledge(sim, [(0, 5), (5, 0)]) == {(0, 5): False, (5, 0): False}
+    with pytest.raises(UnknownIdentifierError):
+        sim.global_send(0, sim.id_of(5), "unknown")
+    # The local mode does use the new edge.
+    sim.local_send(0, 5, "local")
+    sim.advance_round()
+    assert sim.local_inbox(5)[0].payload == "local"
+
+
+def test_committed_link_failure_keeps_knowledge():
+    graph = path_graph(6)
+    schedule = FaultSchedule(
+        link_failures=(LinkFailure(2, 3, start_round=0, end_round=1, permanent=True),)
+    )
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=2, fault_schedule=schedule)
+    before = {node: sim.known_ids(node) for node in sim.nodes}
+    sim.advance_round()
+    assert sim.committed_link_removals == [(2, 3)]
+    assert not graph.has_edge(2, 3)
+    assert {node: sim.known_ids(node) for node in sim.nodes} == before
+    assert _neighbour_knowledge(sim, [(2, 3), (3, 2)]) == {(2, 3): True, (3, 2): True}
 
 
 # ----------------------------------------------------------------------

@@ -124,82 +124,114 @@ class TestKnowledgeTracker:
             tracker.knows(99, 1)
 
 
-class TestPackedKnowledge:
-    """The packed sorted-array layer behind ``learn_known_array``."""
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Build trackers under both array backends."""
+    from repro.simulator import _accel
 
-    @staticmethod
-    def _np():
+    if request.param == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    return request.param
+
+
+class TestKnowledgeStore:
+    """The index-space store behind KnowledgeTracker: pair keys, groups and
+    the dense flag, on both backends."""
+
+    IDS = [100 + 7 * i for i in range(64)]
+
+    def _tracker(self):
+        tracker = KnowledgeTracker(self.IDS)
+        tracker.initialize_node(self.IDS[0], [self.IDS[1]])
+        return tracker
+
+    def test_every_node_knows_itself(self, backend):
+        tracker = KnowledgeTracker(self.IDS)
+        assert all(tracker.knows(i, i) for i in self.IDS)
+        assert tracker.known_ids(self.IDS[5]) == {self.IDS[5]}
+
+    def test_learn_pairs_is_visible_through_every_probe(self, backend):
+        tracker = self._tracker()
+        tracker.learn_pairs([0, 0, 0, 3], [7, 11, 0, 7])
+        ids = self.IDS
+        assert tracker.knows(ids[0], ids[11])
+        assert not tracker.knows(ids[0], ids[12])
+        assert tracker.knows_index(3, 7) and not tracker.knows_index(7, 3)
+        assert tracker.known_ids(ids[0]) == {ids[0], ids[1], ids[7], ids[11]}
+        assert tracker.knowledge_count(ids[3]) == 2
+        # Self pairs are implicit and never stored.
+        assert len(tracker._keys) == 4
+
+    def test_geometric_merge_keeps_membership_exact(self, backend):
+        rng = random.Random(13)
+        tracker = KnowledgeTracker(range(4096))
+        expected = {node: {node} for node in range(4096)}
+        for _ in range(60):
+            learners = [rng.randrange(8) for _ in range(rng.randrange(1, 40))]
+            learned = [rng.randrange(4096) for _ in learners]
+            tracker.learn_pairs(learners, learned)
+            for r, s in zip(learners, learned):
+                expected[r].add(s)
+        for node in range(8):
+            assert tracker.known_ids(node) == expected[node]
+        if backend == "numpy":
+            # Two sorted, disjoint levels; the recent buffer stays under a
+            # quarter of the snapshot.
+            snapshot, recent = tracker._keys.snapshot, tracker._keys.recent
+            for level in (snapshot, recent):
+                assert level.tolist() == sorted(set(level.tolist()))
+            assert not set(snapshot.tolist()) & set(recent.tolist())
+            assert 4 * recent.size < snapshot.size
+
+    def test_first_unknown_names_the_first_missing_pair(self, backend):
+        tracker = self._tracker()
+        tracker.learn_pairs([2], [9])
+        assert tracker.first_unknown([0, 2, 5], [1, 9, 5]) is None
+        assert tracker.first_unknown([0, 2, 3, 4], [1, 9, 8, 2]) == 2
+        assert tracker.first_unknown([], []) is None
+
+    def test_broadcasts_become_one_group(self, backend):
+        tracker = KnowledgeTracker(range(5000))
+        leaders = [3, 50, 4000, -1]  # -1 is bogus and ignored
+        tracker.learn_shared(range(4999), leaders)
+        assert len(tracker._groups) == 1 and len(tracker._keys) == 0
+        assert tracker.knows(17, 4000) and not tracker.knows(17, 51)
+        assert not tracker.knows(4999, 50)
+        assert tracker.known_ids(17) == {3, 17, 50, 4000}
+        assert tracker.first_unknown([17, 17, 4999], [50, 17, 3]) == 2
+        tracker.learn_pairs([4999], [3])
+        assert tracker.first_unknown([17, 4999], [50, 3]) is None
+
+    def test_learn_shared_validates_every_learner_first(self, backend):
+        tracker = KnowledgeTracker([1, 2, 3])
+        with pytest.raises(UnknownNodeError):
+            tracker.learn_shared([1, 2, 99], [3])
+        assert tracker.known_ids(1) == {1}
+        assert tracker.known_ids(2) == {2}
+
+    def test_dense_flag_knows_everything(self, backend):
+        tracker = KnowledgeTracker([5, 6, 7])
+        tracker.initialize_all_known()
+        tracker.learn_pairs([0], [1])
+        assert tracker.known_ids(5) == {5, 6, 7}
+        assert tracker.first_unknown([0, 1], [2, 0]) is None
+        assert not tracker.knows(5, 8)
+
+    def test_backend_is_fixed_at_construction(self, monkeypatch):
         from repro.simulator import _accel
 
         if _accel.np is None:
-            pytest.skip("accelerator gate off; packed layer degrades to sets")
-        return _accel.np
-
-    def _tracker(self, n=64):
-        tracker = KnowledgeTracker(range(n))
-        tracker.initialize_node(0, [1])
-        return tracker
-
-    def test_packed_ids_are_visible_through_every_probe(self):
-        np = self._np()
+            pytest.skip("NumPy not available; vectorised leg is inactive")
         tracker = self._tracker()
-        tracker.learn_known_array(0, np.array([7, 11, 30], dtype=np.int64))
-        assert tracker.knows(0, 11)
-        assert not tracker.knows(0, 12)
-        assert tracker.known_ids(0) == {0, 1, 7, 11, 30}
-        view = tracker.known_ids_view(0)
-        assert 30 in view and 1 in view and 29 not in view
-        assert tracker.knowledge_count(0) == 5
-
-    def test_geometric_merge_keeps_membership_exact(self):
-        np = self._np()
-        tracker = self._tracker(4096)
-        rng = __import__("random").Random(13)
-        expected = {0, 1}
-        for _ in range(40):
-            chunk = sorted(rng.sample(range(2, 4096), rng.randrange(1, 9)))
-            tracker.learn_known_array(0, np.array(chunk, dtype=np.int64))
-            expected.update(chunk)
-        assert tracker.known_ids(0) == expected
-        # Two levels at most, each sorted, recent < snapshot geometrically.
-        levels = tracker._packed_levels(0)
-        assert 1 <= len(levels) <= 2
-        for level in levels:
-            assert list(level) == sorted(level.tolist())
-
-    def test_packed_known_mask_matches_scalar_probes(self):
-        np = self._np()
-        tracker = self._tracker(128)
-        tracker.learn_known_array(0, np.array([5, 9, 90], dtype=np.int64))
-        tracker.learn_known_array(0, np.array([3, 127], dtype=np.int64))
-        targets = np.arange(128, dtype=np.int64)
-        mask = tracker.packed_known_mask(np, 0, targets)
-        packed = {3, 5, 9, 90, 127}
-        assert set(targets[mask].tolist()) == packed
-        # The mask covers the packed layer only: personal ids stay False.
-        assert not mask[0] and not mask[1]
-
-    def test_degrades_to_the_set_layer_without_numpy(self, monkeypatch):
-        from repro.simulator import _accel
-
+        tracker.learn_pairs(_accel.np.array([0]), _accel.np.array([21]))
         monkeypatch.setattr(_accel, "np", None)
-        tracker = self._tracker()
-        tracker.learn_known_array(0, [4, 8])
-        assert tracker.knows(0, 8)
-        assert tracker.known_ids(0) == {0, 1, 4, 8}
-        assert not tracker._packed_levels(0)
-
-    def test_packed_probes_survive_gate_switch_off(self, monkeypatch):
-        np = self._np()
-        from repro.simulator import _accel
-
-        tracker = self._tracker()
-        tracker.learn_known_array(0, np.array([21, 42], dtype=np.int64))
-        monkeypatch.setattr(_accel, "np", None)
-        # bisect probes work on the stored arrays regardless of the gate.
-        assert tracker.knows(0, 42)
-        assert 21 in tracker.known_ids_view(0)
-        assert tracker.known_ids(0) == {0, 1, 21, 42}
+        tracker.learn_pairs([0], [42])
+        ids = self.IDS
+        assert tracker.knows(ids[0], ids[42])
+        assert tracker.known_ids(ids[0]) == {ids[0], ids[1], ids[21], ids[42]}
+        assert tracker.first_unknown([0, 0], [21, 43]) == 1
 
 
 class TestRoundMetrics:
@@ -361,6 +393,41 @@ class TestGlobalMode:
         sim.global_send(3, sim.id_of(1), "pong")
         sim.advance_round()
         assert sim.global_inbox(1)[0].payload == "pong"
+
+    def test_declare_learned_ids_bulk_is_atomic(self):
+        sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
+        ids = [sim.id_of(5)]
+        before = {node: sim.known_ids(node) for node in sim.nodes}
+        with pytest.raises(UnknownNodeError):
+            sim.declare_learned_ids_bulk([0, 1, "ghost", 2], ids)
+        # Validation precedes storage: nobody learned anything.
+        assert {node: sim.known_ids(node) for node in sim.nodes} == before
+        sim.declare_learned_ids_bulk([0, 1, 2], ids)
+        assert all(sim.knows_id(node, ids[0]) for node in (0, 1, 2))
+        assert not sim.knows_id(3, ids[0])
+
+    def test_sender_is_learned_when_an_earlier_shard_was_dropped(self):
+        """A plane split over two rounds: the first shard is lost to a crash
+        of the receiver, the second is delivered and must teach it."""
+        from repro.simulator.engine import TokenPlane
+        from repro.simulator.faults import CrashEvent, FaultSchedule
+
+        sim = HybridSimulator(
+            path_graph(6),
+            ModelConfig.hybrid0(strict=False),
+            seed=3,
+            fault_schedule=FaultSchedule(crashes=(CrashEvent(4, 0, 1),)),
+        )
+        sim.declare_learned_ids(1, [sim.id_of(4)])
+        plane = TokenPlane([1] * 64, [4] * 64, [1] * 64, list(range(64)))
+        sim.global_send_plane(plane, list(range(32)))
+        sim.advance_round()
+        assert sim.metrics.dropped_messages == 32
+        assert not sim.knows_id(4, sim.id_of(1))
+        sim.global_send_plane(plane, list(range(32, 64)))
+        sim.advance_round()
+        assert len(sim.per_node_inbox(GLOBAL_MODE)[4]) == 32
+        assert sim.knows_id(4, sim.id_of(1))
 
     def test_global_mode_disabled_in_local_model(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.local())
