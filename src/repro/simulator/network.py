@@ -122,10 +122,9 @@ from repro.simulator.errors import (
     UnknownIdentifierError,
     UnknownNodeError,
 )
-from repro.simulator.knowledge import KnowledgeTracker
+from repro.simulator.knowledge import KnowledgeTracker, _sorted_contains
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
 from repro.simulator.metrics import RoundMetrics
-from repro.simulator.sharding import span_keep_mask
 
 Node = Hashable
 
@@ -162,6 +161,23 @@ def node_sort_key(node: Node) -> Tuple[int, Any]:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         return (1, str(node))
     return (0, node)
+
+
+def _fault_keep_mask(np, senders, receivers, crashed, failed, n: int):
+    """Crash/edge keep-mask over plane tokens.
+
+    ``crashed`` / ``failed`` are sorted int64 arrays (crashed node indices,
+    directed ``u * n + v`` failed-edge keys).  Drop draws are *not* taken
+    here: the caller consumes one draw per crash/edge survivor in ascending
+    token order.
+    """
+    keep = np.ones(len(senders), dtype=bool)
+    if len(crashed):
+        keep &= ~_sorted_contains(np, crashed, senders)
+        keep &= ~_sorted_contains(np, crashed, receivers)
+    if len(failed):
+        keep &= ~_sorted_contains(np, failed, senders * n + receivers)
+    return keep
 
 
 class _PlaneBatch:
@@ -322,10 +338,6 @@ class HybridSimulator:
         # as flat s * n + r keys for O(1)/vectorised edge validation.
         self._ids_by_index: Optional[List[int]] = None
         self._edge_keys: Optional[Any] = None
-        # Sharded delivery engine of the process-wide installed planner,
-        # resolved lazily per planner identity (None = serial delivery).
-        self._delivery_planner: Optional[Any] = None
-        self._delivery_engine: Optional[Any] = None
         self._assign_identifiers()
         self._init_knowledge()
 
@@ -457,27 +469,6 @@ class HybridSimulator:
             node_to_id = self._node_to_id
             ids = self._ids_by_index = [node_to_id[node] for node in self._nodes]
         return ids
-
-    def _sharded_delivery(self):
-        """The installed planner's delivery engine (``None`` = serial).
-
-        Resolved per planner identity, so ``install_planner`` (or a planner
-        ``close()``/re-install) mid-simulation is picked up on the next use;
-        holding the engine never extends the planner's pool lease — the
-        engine leases lazily on its first pool dispatch.
-        """
-        from repro.simulator.engine import installed_planner
-
-        planner = installed_planner()
-        if planner is not self._delivery_planner:
-            self._delivery_planner = planner
-            engine = None
-            if planner is not None and getattr(planner, "workers", 1) > 1:
-                factory = getattr(planner, "delivery", None)
-                if factory is not None:
-                    engine = factory()
-            self._delivery_engine = engine
-        return self._delivery_engine
 
     def _edge_key_index(self):
         """The directed adjacency as flat ``s * n + r`` keys (cached).
@@ -881,16 +872,8 @@ class HybridSimulator:
             if sent_arr is None:
                 sent_arr = self._plane_sent_arr = np.zeros(self.n)
                 self._plane_recv_arr = np.zeros(self.n)
-            delivery = self._sharded_delivery()
-            if delivery is not None:
-                delivery.apply_counters(
-                    np, s_sel, r_sel, wt, sent_arr, self._plane_recv_arr
-                )
-            else:
-                sent_arr += np.bincount(s_sel, weights=wt, minlength=self.n)
-                self._plane_recv_arr += np.bincount(
-                    r_sel, weights=wt, minlength=self.n
-                )
+            sent_arr += np.bincount(s_sel, weights=wt, minlength=self.n)
+            self._plane_recv_arr += np.bincount(r_sel, weights=wt, minlength=self.n)
         else:
             wt = [w + tag_words for w in w_sel] if tag_words else list(w_sel)
             total = sum(wt)
@@ -1120,27 +1103,17 @@ class HybridSimulator:
                 # Plane-only round: the capacity sweep is two whole-array
                 # comparisons over the grouped counters — identical accounting
                 # to the per-node loop (the metrics only keep the max load and
-                # the violation count).  At paper scale the sweep may run
-                # range-parallel on the delivery engine; its per-range
-                # (max, over-count, first-over) summaries merge by
-                # max / sum / min into exactly the serial numbers.
+                # the violation count).
                 np = _accel.np
                 recv_arr = self._plane_recv_arr
-                delivery = self._sharded_delivery()
-                swept = (
-                    delivery.sweep(np, sent_arr, recv_arr, budget)
-                    if delivery is not None
-                    else None
-                )
-                if swept is None:
-                    swept = []
-                    for arr in (sent_arr, recv_arr):
-                        peak = int(arr.max())
-                        if peak > budget:
-                            over = np.flatnonzero(arr > budget)
-                            swept.append((peak, int(over.size), int(over[0])))
-                        else:
-                            swept.append((peak, 0, -1))
+                swept = []
+                for arr in (sent_arr, recv_arr):
+                    peak = int(arr.max())
+                    if peak > budget:
+                        over = np.flatnonzero(arr > budget)
+                        swept.append((peak, int(over.size), int(over[0])))
+                    else:
+                        swept.append((peak, 0, -1))
                 for verb, arr, (peak, over_count, first_over), enforce in (
                     ("sent", sent_arr, swept[0], strict),
                     (
@@ -1166,30 +1139,39 @@ class HybridSimulator:
                             metrics.record_violation()
             else:
                 index_of = self._index_of
-                for node, words in self._global_sent_words.items():
-                    node_budget = budget
-                    if node_budget_of is not None:
-                        node_budget = node_budget_of.get(index_of[node], budget)
-                    metrics.record_node_round_load(words)
-                    if words > node_budget:
-                        metrics.record_violation()
-                        if strict:
-                            raise CapacityExceededError(
-                                f"node {node!r} sent {words} global words in round "
-                                f"{self.round}, budget is {node_budget}"
-                            )
-                for node, words in self._global_recv_words.items():
-                    node_budget = budget
-                    if node_budget_of is not None:
-                        node_budget = node_budget_of.get(index_of[node], budget)
-                    metrics.record_node_round_load(words)
-                    if words > node_budget:
-                        metrics.record_violation()
-                        if strict and self.enforce_receive_capacity:
-                            raise CapacityExceededError(
-                                f"node {node!r} received {words} global words in round "
-                                f"{self.round}, budget is {node_budget}"
-                            )
+                for verb, counters, enforce in (
+                    ("sent", self._global_sent_words, strict),
+                    (
+                        "received",
+                        self._global_recv_words,
+                        strict and self.enforce_receive_capacity,
+                    ),
+                ):
+                    for node, words in counters.items():
+                        node_budget = budget
+                        if node_budget_of is not None:
+                            node_budget = node_budget_of.get(index_of[node], budget)
+                        metrics.record_node_round_load(words)
+                        if words > node_budget:
+                            metrics.record_violation()
+                            if enforce:
+                                # Record the round's peak load and name the
+                                # lowest-index offender, as the array sweep
+                                # does, whatever the insertion order.
+                                metrics.record_node_round_load(max(counters.values()))
+                                for node in sorted(counters, key=index_of.__getitem__):
+                                    words = counters[node]
+                                    node_budget = budget
+                                    if node_budget_of is not None:
+                                        node_budget = node_budget_of.get(
+                                            index_of[node], budget
+                                        )
+                                    if words > node_budget:
+                                        break
+                                raise CapacityExceededError(
+                                    f"node {node!r} {verb} {words} global words "
+                                    f"in round {self.round}, budget is {node_budget}"
+                                )
 
         self.metrics.record_local_bulk(self._pending_local_msgs, self._pending_local_words)
         self.metrics.record_global_bulk(self._pending_global_msgs, self._pending_global_words)
@@ -1392,9 +1374,8 @@ class HybridSimulator:
 
         Surviving batches keep their original column objects when nothing was
         dropped.  Array-backed batches filter vectorised: the crash/edge
-        keep-mask is computed per batch (span-parallel on the delivery engine
-        when installed — elementwise, so bit-identical for any worker count),
-        then the RNG consumes one draw per crash/edge survivor in ascending
+        keep-mask is computed per batch (:func:`_fault_keep_mask`), then the
+        RNG consumes one draw per crash/edge survivor in ascending
         token order, exactly like the scalar loop — the drop decisions and
         the draw stream match the serial path bit for bit.
         """
@@ -1402,7 +1383,6 @@ class HybridSimulator:
             return 0
         n = self.n
         np = _accel.np
-        delivery = self._sharded_delivery() if np is not None else None
         dropped = 0
         for i, batch in enumerate(planes):
             senders = batch.senders
@@ -1413,14 +1393,9 @@ class HybridSimulator:
                 and np is not None
                 and isinstance(senders, np.ndarray)
             ):
-                if delivery is not None:
-                    keep_mask = delivery.keep_mask(
-                        np, senders, receivers, crashed_arr, failed_arr, n
-                    )
-                else:
-                    keep_mask = span_keep_mask(
-                        np, senders, receivers, crashed_arr, failed_arr, n
-                    )
+                keep_mask = _fault_keep_mask(
+                    np, senders, receivers, crashed_arr, failed_arr, n
+                )
                 if rng is not None:
                     passing = np.flatnonzero(keep_mask)
                     if passing.size:

@@ -60,10 +60,32 @@ def test_send_overflow_counted_identically_through_both_paths():
     assert sum(len(v) for v in plane_sim.per_node_inbox(GLOBAL_MODE).values()) == len(payloads)
 
 
-@pytest.mark.parametrize("path", ["plane", "tuple"])
-def test_send_overflow_raises_in_strict_mode(path):
-    sim = HybridSimulator(path_graph(12), ModelConfig.hybrid(), seed=0)
-    senders, receivers, payloads = _overflow_workload(sim)
+def _multi_offender_workload(sim, side):
+    """Nodes 17, 4 and 11 overrun the full budget on ``side`` and node 1
+    overruns half of it, queued in an order that is not the node order; the
+    other side of every message stays under budget."""
+    budget = sim.global_budget_words()
+    loaded, peers = [], []
+    overruns = ((17, budget + 9), (4, budget + 2), (11, budget + 5), (1, budget // 2 + 5))
+    for node, count in overruns:
+        for i in range(count):
+            peer = i % (sim.n - 1)
+            loaded.append(node)
+            peers.append(peer + (peer >= node))
+    if side == "sent":
+        return loaded, peers, ["x"] * len(loaded)
+    return peers, loaded, ["x"] * len(loaded)
+
+
+def _strict_overflow_message(path, workload, schedule):
+    graph = path_graph(24)
+    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=0, fault_schedule=schedule)
+    if workload == "single-sender":
+        senders, receivers, payloads = _overflow_workload(sim)
+    else:
+        sim.enforce_receive_capacity = workload == "multi-receiver"
+        side = "sent" if workload == "multi-sender" else "received"
+        senders, receivers, payloads = _multi_offender_workload(sim, side)
     if path == "plane":
         sim.global_send_batch_ids(senders, receivers, payloads)
     else:
@@ -72,8 +94,31 @@ def test_send_overflow_raises_in_strict_mode(path):
             (nodes[senders[i]], nodes[receivers[i]], payloads[i])
             for i in range(len(payloads))
         )
-    with pytest.raises(CapacityExceededError):
+    with pytest.raises(CapacityExceededError) as excinfo:
         sim.advance_round()
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("degraded", [False, True], ids=["healthy", "degraded"])
+@pytest.mark.parametrize(
+    "workload,verb",
+    [("single-sender", "sent"), ("multi-sender", "sent"), ("multi-receiver", "received")],
+)
+def test_send_overflow_raises_in_strict_mode(workload, verb, degraded):
+    # Both send paths raise and name the same node: the lowest-index
+    # offender, whichever capacity sweep (array or per-node) ran.  A
+    # node-scoped degradation moves plane rounds onto the per-node sweep too
+    # and makes node 1 the lowest offender.
+    schedule = (
+        FaultSchedule(degradations=(CapacityDegradation(0.5, node=1),))
+        if degraded
+        else None
+    )
+    plane_message = _strict_overflow_message("plane", workload, schedule)
+    tuple_message = _strict_overflow_message("tuple", workload, schedule)
+    assert plane_message == tuple_message
+    offender = 0 if workload == "single-sender" else 1 if degraded else 4
+    assert plane_message.startswith(f"node {offender} {verb} ")
 
 
 # ----------------------------------------------------------------------

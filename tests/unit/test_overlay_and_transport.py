@@ -17,6 +17,7 @@ from repro.core.overlay import (
 from repro.core.transport import GlobalTransfer, throttled_global_exchange
 from repro.graphs.generators import grid_graph, path_graph
 from repro.simulator.config import ModelConfig, log2_ceil
+from repro.simulator.engine import TokenPlane, batched_global_exchange, plan_token_rounds
 from repro.simulator.network import HybridSimulator
 
 
@@ -215,6 +216,8 @@ class TestThrottledTransport:
     def test_empty_transfer_list(self):
         sim = make_sim(hybrid0=False)
         assert throttled_global_exchange(sim, []) == {}
+        assert batched_global_exchange(sim, []) == {}
+        assert plan_token_rounds(TokenPlane([], [], []), sim.global_budget_words()) == []
         assert sim.metrics.measured_rounds == 0
 
     def test_max_rounds_guard(self):
