@@ -76,8 +76,8 @@ def default_benchmark_specs(scale: str = "small") -> List[GraphSpec]:
 
     ``scale`` picks between a fast grid ("small", used by default so the
     benchmark suite stays minutes-long), a larger one ("medium"), and a
-    production-scale one ("large", n >= 2000, feasible only through the batch
-    messaging engine).
+    production-scale one ("large", n >= 2000, feasible only through the
+    token-plane round engine).
     """
     if scale == "small":
         return [
@@ -147,7 +147,6 @@ def run_table1_dissemination(
     *,
     seed: int = 0,
     concentrated: bool = False,
-    engine: str = "batch",
 ) -> Dict[str, Any]:
     """One Table 1 row: k-dissemination, measured vs. prior bound vs. lower bound."""
     graph = generate_graph(spec)
@@ -156,7 +155,7 @@ def run_table1_dissemination(
     tokens = scatter_tokens(graph, k, seed=seed, concentrated=concentrated)
 
     sim = _fresh_simulator(graph, hybrid0=True, seed=seed)
-    result = KDissemination(sim, tokens, engine=engine).run()
+    result = KDissemination(sim, tokens).run()
     if not result.all_nodes_know_all_tokens():
         raise AssertionError("k-dissemination failed to deliver all tokens")
 

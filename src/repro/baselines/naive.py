@@ -20,7 +20,8 @@ from repro.core.shortest_paths import DenseDistanceTable
 from repro.core.skeleton import build_skeleton
 from repro.graphs.index import SSSPRowCache, get_index
 from repro.graphs.properties import h_hop_limited_distances
-from repro.simulator.engine import BatchAlgorithm, GlobalTriple
+from repro.simulator.engine import BatchAlgorithm, GlobalTriple, TokenPlane
+from repro.simulator.messages import LOCAL_MODE, payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
 
@@ -63,15 +64,34 @@ class LocalFloodingBroadcast:
         if not all_tokens:
             return BroadcastOutcome(known_tokens=known, tokens=set(), metrics=sim.metrics)
 
+        nodes = sim.nodes
+        indexer = sim.node_indexer()
         while not all(tokens == all_tokens for tokens in known.values()):
-            for v in sim.nodes:
-                if known[v]:
-                    sim.local_broadcast(v, frozenset(known[v]), tag="flood")
+            # One local round: every informed node sends its whole known set
+            # to each neighbour, as one token plane.
+            senders: List[int] = []
+            receivers: List[int] = []
+            words: List[int] = []
+            payloads: List[Any] = []
+            for v in nodes:
+                if not known[v]:
+                    continue
+                payload = frozenset(known[v])
+                size = payload_words(payload)
+                sender = indexer[v]
+                for neighbor in sim.neighbors(v):
+                    senders.append(sender)
+                    receivers.append(indexer[neighbor])
+                    words.append(size)
+                    payloads.append(payload)
+            sim.local_send_plane(
+                TokenPlane(senders, receivers, words, payloads), None, "flood"
+            )
             sim.advance_round()
-            for v in sim.nodes:
-                for message in sim.local_inbox(v):
-                    if message.tag == "flood":
-                        known[v].update(message.payload)
+            # Fold the delivered positions (the fault layer may drop some)
+            # straight from the plane's columns.
+            for position in sim.delivered_plane_positions("flood", LOCAL_MODE):
+                known[nodes[receivers[position]]].update(payloads[position])
         return BroadcastOutcome(known_tokens=known, tokens=all_tokens, metrics=sim.metrics)
 
 
@@ -85,20 +105,15 @@ class NaiveGlobalBroadcast(BatchAlgorithm):
     how badly it loses to Theorem 1 once ``k`` is large, illustrating the
     eOmega(n) bound for NCC-only information dissemination quoted in Section 1.5.
 
-    The unicast workload moves through :meth:`~repro.simulator.engine.BatchAlgorithm.exchange`;
-    ``engine="batch"`` (default) token-shards it through the batch messaging
-    engine, ``engine="legacy"`` replays the original per-message
-    ``throttled_global_exchange`` path with identical shards and round counts.
+    The unicast workload moves through
+    :meth:`~repro.simulator.engine.BatchAlgorithm.exchange`, which
+    token-shards it to the per-node budget.
     """
 
     def __init__(
-        self,
-        simulator: HybridSimulator,
-        tokens_by_node: Dict[Node, Sequence[Any]],
-        *,
-        engine: str = "batch",
+        self, simulator: HybridSimulator, tokens_by_node: Dict[Node, Sequence[Any]]
     ):
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         self.tokens_by_node = {node: list(tokens) for node, tokens in tokens_by_node.items()}
         self._known: Dict[Node, Set[Any]] = {v: set() for v in simulator.nodes}
         self._all_tokens: Set[Any] = set()

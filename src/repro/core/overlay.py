@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import TokenPlane
-from repro.simulator.messages import GLOBAL_MODE, payload_words
+from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
 
 Node = Hashable
@@ -194,39 +194,22 @@ def _tree_plane_layout(simulator: HybridSimulator, tree: VirtualTree):
     return idx, parent_idx
 
 
-def _resolve_tree_engine(batch: bool, engine: Optional[str]) -> str:
-    """Map the historical ``batch`` flag and the driver ``engine`` switch.
-
-    ``engine`` (when given) wins: ``"batch"`` selects the id-native plane
-    path, ``"batch-reference"`` the retained tuple path, ``"legacy"`` the
-    per-message path.  Plain ``batch=True/False`` keeps the historical
-    tuple/legacy behaviour for existing callers.
-    """
-    if engine is not None:
-        return engine
-    return "batch-reference" if batch else "legacy"
-
-
 def aggregate_via_tree(
     simulator: HybridSimulator,
     tree: VirtualTree,
     values: Dict[Node, Any],
     combine: Callable[[Any, Any], Any],
-    *,
-    batch: bool = True,
-    engine: Optional[str] = None,
 ) -> Any:
     """Converge-cast ``values`` up the tree, combining with ``combine``.
 
     One tree level per round (leaf level first); every node sends a single
     global message to its parent, so the per-node budget is respected.  Returns
-    the aggregate as known by the root.  ``engine="batch"`` moves each level as
-    one id-native token plane and folds the combine step directly from the
-    plane's columns (no inbox rebuild); ``batch=False`` routes the sends
-    through the legacy per-message API (identical rounds and inboxes).
+    the aggregate as known by the root.  Each level moves as one id-native
+    token plane and the combine step is folded directly from the plane's
+    columns (no inbox read), so the helper also runs on charge-only
+    simulators.
     """
-    mode = _resolve_tree_engine(batch, engine)
-    if mode == "batch" and _accel.np is not None:
+    if _accel.np is not None:
         # Heap-slot formulation: level planes are array slices of the cached
         # layout, partials live in a slot-ordered list, and the combine fold
         # walks slots in the same child order as the generic path.
@@ -256,61 +239,23 @@ def aggregate_via_tree(
                 )
         return slot_values[0]
     partial: Dict[Node, Any] = {node: values.get(node) for node in tree.order}
-    levels = tree.levels()
-    if mode == "batch":
-        indexer = simulator.node_indexer()
-        for level in reversed(levels[1:]):
-            parents = [tree.parent[node] for node in level]
-            payloads = [partial[node] for node in level]
-            plane = TokenPlane(
-                [indexer[node] for node in level],
-                [indexer[parent] for parent in parents],
-                [payload_words(payload) for payload in payloads],
-                payloads,
-            )
-            simulator.global_send_plane(plane, None, "tree-agg")
-            simulator.advance_round()
-            for parent, incoming in zip(parents, payloads):
-                if incoming is None:
-                    continue
-                acc = partial[parent]
-                partial[parent] = incoming if acc is None else combine(acc, incoming)
-        return partial[tree.root]
-    for level in reversed(levels[1:]):
-        if mode == "batch-reference":
-            simulator.global_send_batch(
-                [(node, tree.parent[node], partial[node]) for node in level],
-                "tree-agg",
-            )
-            simulator.advance_round()
-            inbox = simulator.per_node_inbox(GLOBAL_MODE)
-            for parent in {tree.parent[node] for node in level}:
-                acc = partial[parent]
-                for _, incoming, tag, _ in inbox.get(parent, ()):
-                    if tag != "tree-agg":
-                        continue
-                    if acc is None:
-                        acc = incoming
-                    elif incoming is not None:
-                        acc = combine(acc, incoming)
-                partial[parent] = acc
-            continue
-        for node in level:
-            parent = tree.parent[node]
-            simulator.global_send_to_node(node, parent, partial[node], tag="tree-agg")
+    indexer = simulator.node_indexer()
+    for level in reversed(tree.levels()[1:]):
+        parents = [tree.parent[node] for node in level]
+        payloads = [partial[node] for node in level]
+        plane = TokenPlane(
+            [indexer[node] for node in level],
+            [indexer[parent] for parent in parents],
+            [payload_words(payload) for payload in payloads],
+            payloads,
+        )
+        simulator.global_send_plane(plane, None, "tree-agg")
         simulator.advance_round()
-        receivers = {tree.parent[node] for node in level}
-        for parent in receivers:
+        for parent, incoming in zip(parents, payloads):
+            if incoming is None:
+                continue
             acc = partial[parent]
-            for message in simulator.global_inbox(parent):
-                if message.tag != "tree-agg":
-                    continue
-                incoming = message.payload
-                if acc is None:
-                    acc = incoming
-                elif incoming is not None:
-                    acc = combine(acc, incoming)
-            partial[parent] = acc
+            partial[parent] = incoming if acc is None else combine(acc, incoming)
     return partial[tree.root]
 
 
@@ -318,15 +263,15 @@ def broadcast_via_tree(
     simulator: HybridSimulator,
     tree: VirtualTree,
     value: Any,
-    *,
-    batch: bool = True,
-    engine: Optional[str] = None,
 ) -> Dict[Node, Any]:
-    """Down-cast ``value`` from the root to every tree node (one level per round)."""
+    """Down-cast ``value`` from the root to every tree node (one level per round).
+
+    Each level moves as one id-native token plane; deliveries are folded
+    from the plane's columns, so no inbox is read.
+    """
     received: Dict[Node, Any] = {tree.root: value}
-    mode = _resolve_tree_engine(batch, engine)
     np = _accel.np
-    if mode == "batch" and np is not None:
+    if np is not None:
         # Down-cast of a single value: every level plane carries the same
         # payload object, so the words column is one ``payload_words`` call
         # and the sender/receiver columns are slices of the cached layout.
@@ -348,60 +293,33 @@ def broadcast_via_tree(
         for node in tree.order:
             received[node] = value
         return received
-    if mode == "batch":
-        indexer = simulator.node_indexer()
-        for level in tree.levels():
-            senders: List[int] = []
-            receivers: List[int] = []
-            words: List[int] = []
-            payloads: List[Any] = []
-            children: List[Node] = []
-            for node in level:
-                if node not in received:
-                    continue
-                payload = received[node]
-                size = payload_words(payload)
-                sender_index = indexer[node]
-                for child in tree.children[node]:
-                    senders.append(sender_index)
-                    receivers.append(indexer[child])
-                    words.append(size)
-                    payloads.append(payload)
-                    children.append(child)
-            if not children:
-                continue
-            simulator.global_send_plane(
-                TokenPlane(senders, receivers, words, payloads), None, "tree-bcast"
-            )
-            simulator.advance_round()
-            for child, payload in zip(children, payloads):
-                received[child] = payload
-        return received
+    indexer = simulator.node_indexer()
     for level in tree.levels():
-        sends = [
-            (node, child, received[node])
-            for node in level
-            if node in received
-            for child in tree.children[node]
-        ]
-        if not sends:
+        senders: List[int] = []
+        receivers: List[int] = []
+        words: List[int] = []
+        payloads: List[Any] = []
+        children: List[Node] = []
+        for node in level:
+            if node not in received:
+                continue
+            payload = received[node]
+            size = payload_words(payload)
+            sender_index = indexer[node]
+            for child in tree.children[node]:
+                senders.append(sender_index)
+                receivers.append(indexer[child])
+                words.append(size)
+                payloads.append(payload)
+                children.append(child)
+        if not children:
             continue
-        if mode == "batch-reference":
-            simulator.global_send_batch(sends, "tree-bcast")
-            simulator.advance_round()
-            inbox = simulator.per_node_inbox(GLOBAL_MODE)
-            for _, child, _ in sends:
-                for _, payload, tag, _ in inbox.get(child, ()):
-                    if tag == "tree-bcast":
-                        received[child] = payload
-            continue
-        for sender, child, payload in sends:
-            simulator.global_send_to_node(sender, child, payload, tag="tree-bcast")
+        simulator.global_send_plane(
+            TokenPlane(senders, receivers, words, payloads), None, "tree-bcast"
+        )
         simulator.advance_round()
-        for _, child, _ in sends:
-            for message in simulator.global_inbox(child):
-                if message.tag == "tree-bcast":
-                    received[child] = message.payload
+        for child, payload in zip(children, payloads):
+            received[child] = payload
     return received
 
 
@@ -410,9 +328,6 @@ def basic_aggregation(
     values: Dict[Node, Any],
     combine: Callable[[Any, Any], Any],
     tree: Optional[VirtualTree] = None,
-    *,
-    batch: bool = True,
-    engine: Optional[str] = None,
 ) -> Any:
     """Lemma 4.4 for ``k = 1``: every node learns ``combine`` over all values.
 
@@ -421,10 +336,8 @@ def basic_aggregation(
     """
     if tree is None:
         tree = build_virtual_tree(simulator)
-    aggregate = aggregate_via_tree(
-        simulator, tree, values, combine, batch=batch, engine=engine
-    )
-    broadcast_via_tree(simulator, tree, aggregate, batch=batch, engine=engine)
+    aggregate = aggregate_via_tree(simulator, tree, values, combine)
+    broadcast_via_tree(simulator, tree, aggregate)
     return aggregate
 
 
@@ -437,19 +350,21 @@ def basic_dissemination(
     """Lemma 4.4 for ``k = 1``: a single value becomes known to every node.
 
     The source first converge-casts the value to the root (by sending it up its
-    root path), then the root broadcasts it down the tree.
+    root path, one hop per round), then the root broadcasts it down the tree.
+    Each hop carries the value itself, so no inbox is read.
     """
     if tree is None:
         tree = build_virtual_tree(simulator)
-    # Send the value up the path from the source to the root, one hop per round.
+    indexer = simulator.node_indexer()
+    words = [payload_words(value)]
     current = source
-    payload = value
     while tree.parent[current] is not None:
         parent = tree.parent[current]
-        simulator.global_send_to_node(current, parent, payload, tag="tree-up")
+        simulator.global_send_plane(
+            TokenPlane([indexer[current]], [indexer[parent]], words, [value]),
+            None,
+            "tree-up",
+        )
         simulator.advance_round()
-        for message in simulator.global_inbox(parent):
-            if message.tag == "tree-up":
-                payload = message.payload
         current = parent
-    return broadcast_via_tree(simulator, tree, payload)
+    return broadcast_via_tree(simulator, tree, value)

@@ -18,16 +18,14 @@ senders and receivers never need to learn each other's helper sets
 
 What is physically simulated: every hop of every message that crosses the
 global network (source-helpers -> intermediates, target-helpers' requests ->
-intermediates, intermediates' replies -> target-helpers), token-sharded over
-the batch messaging engine (:mod:`repro.simulator.engine`) so the per-node
+intermediates, intermediates' replies -> target-helpers), token-sharded by
+the round engine (:mod:`repro.simulator.engine`) so the per-node
 budget is respected.  What is charged: the helper-set construction
 (Lemma 5.2), the hash-seed broadcast and the broadcast of ``S``'s identifiers
 (Theorem 1), and the local-mode distribution/collection of messages between
 sources/targets and their helpers (bounded by the weak diameter ``eO(NQ_k)``).
 
-The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`;
-``engine="legacy"`` reroutes every hop through the per-message transport with
-identical round counts.
+The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`.
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ class KLRouting(BatchAlgorithm):
         determines whether source helpers are the sources themselves
         (case 1: ``H_s = {s}``) or sampled adaptively (case 3).
     seed: randomness for helper sampling and the hash family.
-    engine: ``"batch"`` (default) or ``"legacy"`` message path.
     """
 
     def __init__(
@@ -103,9 +100,8 @@ class KLRouting(BatchAlgorithm):
         scenario: RoutingScenario = RoutingScenario.ARBITRARY_SOURCES_RANDOM_TARGETS,
         seed: Optional[int] = None,
         nq: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if not messages:
             raise ValueError("messages must be non-empty")
         self.messages = dict(messages)

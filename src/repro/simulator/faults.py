@@ -30,8 +30,8 @@ link-failure windows — and enacted by a :class:`FaultState` that
   window are dropped like lossy messages.
 
 The hard invariant of the whole layer: an **empty** schedule installs no
-:class:`FaultState` at all (``HybridSimulator.fault_state is None``), so every
-engine remains token-for-token schedule-identical to
+:class:`FaultState` at all (``HybridSimulator.fault_state is None``), so the
+round engine remains token-for-token schedule-identical to
 ``_reference_shard_transfers`` — the identity property suites pin this.
 
 Capacity accounting under faults is *attempt-based*: a dropped message still

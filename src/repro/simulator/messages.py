@@ -31,8 +31,8 @@ def payload_words(payload: Any) -> int:
     Objects may pin their charged size via a ``payload_words_override``
     attribute (may be 0).  The only in-tree user is the round engine's
     :class:`~repro.simulator.engine.ExchangeTag`, whose unique demux serial is
-    engine bookkeeping rather than protocol payload: the tag is charged as its
-    user-visible prefix so word accounting is identical across engines.
+    engine bookkeeping rather than protocol payload, so it is not charged:
+    the tag costs the words of its user-visible prefix alone.
     """
     override = getattr(payload, "payload_words_override", None)
     if override is not None:

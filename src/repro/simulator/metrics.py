@@ -74,12 +74,12 @@ class RoundMetrics:
         self.measured_rounds += 1
 
     def record_local_bulk(self, messages: int, words: int) -> None:
-        """Account a whole round of local traffic at once (batch engine)."""
+        """Account a whole round of local traffic at once."""
         self.local_messages += messages
         self.local_words += words
 
     def record_global_bulk(self, messages: int, words: int) -> None:
-        """Account a whole round of global traffic at once (batch engine)."""
+        """Account a whole round of global traffic at once."""
         self.global_messages += messages
         self.global_words += words
 

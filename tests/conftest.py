@@ -15,6 +15,7 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.weighted import assign_random_weights, unit_weights
+from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
@@ -68,3 +69,30 @@ def hybrid0_sim(small_grid):
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Run the test body under both array backends."""
+    if request.param == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    return request.param
+
+
+@pytest.fixture
+def on_both_backends(monkeypatch):
+    """Return ``run_twice(run)``: ``run()`` under NumPy, then under the
+    pure-Python fallback, as a ``(vectorised, fallback)`` pair."""
+    if _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+
+    def run_twice(run):
+        vectorised = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(_accel, "np", None)
+            fallback = run()
+        return vectorised, fallback
+
+    return run_twice

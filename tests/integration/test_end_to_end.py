@@ -106,11 +106,12 @@ class TestMarginalModels:
     def test_congested_clique_can_do_all_to_all_in_one_round(self):
         graph = generate_graph(GraphSpec.of("complete", n=12))
         sim = HybridSimulator(graph, ModelConfig.congested_clique(12), seed=0)
-        for u in sim.nodes:
-            for v in sim.nodes:
-                if u != v:
-                    sim.global_send_to_node(u, v, 1)
+        pairs = [(u, v) for u in range(sim.n) for v in range(sim.n) if u != v]
+        sim.global_send_batch_ids(
+            [u for u, _ in pairs], [v for _, v in pairs], [1] * len(pairs)
+        )
         sim.advance_round()
+        assert sim.metrics.global_messages == len(pairs)
         assert sim.metrics.capacity_violations == 0
 
     def test_hybrid0_preprocessing_enables_arbitrary_global_sends(self):
@@ -126,7 +127,7 @@ class TestMarginalModels:
         for node in sim.nodes:
             sim.declare_learned_ids(node, ids)
         # Now any node can message any other directly.
-        sim.global_send(sim.nodes[0], sim.id_of(sim.nodes[-1]), "post-preprocessing")
+        sim.global_send_batch_ids([0], [sim.n - 1], ["post-preprocessing"])
         sim.advance_round()
         assert sim.global_inbox(sim.nodes[-1])[0].payload == "post-preprocessing"
 

@@ -1,11 +1,14 @@
 """Equivalence harness for the batch-native shortest-paths pipeline (PR 3).
 
-Three layers of cross-validation over six graph families x three seeds:
+Four layers of cross-validation over six graph families x three seeds:
 
-* **engine equivalence** — every algorithm of the shortest-paths stack
+* **backend equivalence** — every algorithm of the shortest-paths stack
   (UnweightedApproxAPSP, SpannerAPSP, SkeletonAPSP, KSourceShortestPaths,
   KLShortestPaths, the BCC bridge) produces *identical* results and identical
-  metrics summaries under ``engine="batch"`` and ``engine="legacy"``;
+  metrics summaries under the NumPy and the pure-Python array backends;
+* **output checks** — the weighted APSP algorithms (SpannerAPSP,
+  SkeletonAPSP) stay within their stretch of centralized Dijkstra, and the
+  BCC bridge delivers every broadcast vector exactly;
 * **dense-vs-reference equivalence** — the :class:`DenseDistanceTable`
   assembled from GraphIndex flat-array sweeps equals, entry for entry, the
   dict-BFS formulation of Algorithm 3 that the seed implementation used;
@@ -19,6 +22,7 @@ import random
 
 import pytest
 
+from repro.baselines.centralized import exact_apsp, max_stretch_of_table
 from repro.core.bcc import BCCBroadcast, BCCSimulator
 from repro.core.ksp import KSourceShortestPaths
 from repro.core.shortest_paths import (
@@ -70,7 +74,7 @@ def _ids(case):
 
 
 # ----------------------------------------------------------------------
-# Unweighted APSP: batch == legacy == the dict-BFS reference pipeline
+# Unweighted APSP: the dense table == the dict-BFS reference pipeline
 # ----------------------------------------------------------------------
 def _reference_algorithm3_estimates(graph, sim, algorithm):
     """Algorithm 3 computed the pre-index way: one dict BFS per node, one
@@ -103,25 +107,17 @@ def _reference_algorithm3_estimates(graph, sim, algorithm):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_apsp_engines_and_reference_pipeline_agree(case):
+def test_apsp_matches_the_reference_pipeline(case):
     family, seed = case
     graph = unit_weights(GRAPH_FAMILIES[family](seed))
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    algorithm = UnweightedApproxAPSP(sim, epsilon=0.5)
+    table = algorithm.run()
 
-    def run(engine):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        algorithm = UnweightedApproxAPSP(sim, epsilon=0.5, engine=engine)
-        return algorithm, algorithm.run(), sim
-
-    batch_algo, batch, batch_sim = run("batch")
-    _, legacy, _ = run("legacy")
-
-    assert isinstance(batch, DenseDistanceTable)
-    assert batch.metrics.summary() == legacy.metrics.summary()
-    assert batch.estimates == legacy.estimates
-    assert batch_sim.metrics.capacity_violations == 0
-
-    expected = _reference_algorithm3_estimates(graph, batch_sim, batch_algo)
-    assert batch.estimates == expected
+    assert isinstance(table, DenseDistanceTable)
+    assert sim.metrics.capacity_violations == 0
+    expected = _reference_algorithm3_estimates(graph, sim, algorithm)
+    assert table.estimates == expected
 
 
 def test_apsp_leader_fallback_branch_matches_reference():
@@ -184,37 +180,82 @@ def test_dense_table_api_is_consistent():
 
 
 # ----------------------------------------------------------------------
-# k-SP / (k, l)-SP / weighted APSP: batch == legacy exactly
+# Weighted APSP: within the stretch bound of centralized Dijkstra
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_weighted_apsp_stays_within_its_stretch(case):
+    family, seed = case
+    graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
+    truth = exact_apsp(graph)
+    for algorithm_factory, bound in (
+        (lambda sim: SpannerAPSP(sim, epsilon=0.5), None),
+        (lambda sim: SkeletonAPSP(sim, alpha=1, seed=seed), 3),
+    ):
+        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+        table = algorithm_factory(sim).run()
+        limit = table.stretch_bound if bound is None else bound
+        assert max_stretch_of_table(truth, table.estimates) <= limit + 1e-6
+        assert sim.metrics.capacity_violations == 0
+
+
+# ----------------------------------------------------------------------
+# BCC bridge: every node receives the broadcast vector itself
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_bcc_broadcast_delivers_everything(case):
+    family, seed = case
+    graph = GRAPH_FAMILIES[family](seed)
+    schedule = [
+        {v: ("round0", v) for v in graph.nodes},
+        {v: ("round1", str(v)) for v in graph.nodes},
+    ]
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    result = BCCBroadcast(sim, schedule).run()
+    assert result.all_rounds_complete()
+    assert sim.metrics.capacity_violations == 0
+    for bcc_round, broadcasts in zip(result.rounds, schedule):
+        for view in bcc_round.received.values():
+            assert view == broadcasts
+
+
+# ----------------------------------------------------------------------
+# Every algorithm: NumPy backend == pure-Python backend, exactly
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_apsp_backends_agree_exactly(case, on_both_backends):
+    family, seed = case
+    graph = unit_weights(GRAPH_FAMILIES[family](seed))
+
+    def run():
+        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+        table = UnweightedApproxAPSP(sim, epsilon=0.5).run()
+        return table.estimates, sim.metrics.summary()
+
+    vectorised, fallback = on_both_backends(run)
+    assert vectorised == fallback
+
+
 @pytest.mark.parametrize("in_skeleton", [True, False], ids=["skel", "arb"])
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_ksp_engines_agree_exactly(case, in_skeleton):
+def test_ksp_backends_agree_exactly(case, in_skeleton, on_both_backends):
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
     rng = random.Random(400 + seed)
     sources = rng.sample(sorted(graph.nodes), 4)
 
-    def run(engine):
+    def run():
         sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
         result = KSourceShortestPaths(
-            sim,
-            sources,
-            epsilon=0.25,
-            sources_in_skeleton=in_skeleton,
-            seed=seed,
-            engine=engine,
+            sim, sources, epsilon=0.25, sources_in_skeleton=in_skeleton, seed=seed
         ).run()
-        return result, sim
+        return result.distances, result.proxy_of, sim.metrics.summary()
 
-    batch, batch_sim = run("batch")
-    legacy, legacy_sim = run("legacy")
-    assert batch.distances == legacy.distances
-    assert batch.proxy_of == legacy.proxy_of
-    assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
+    vectorised, fallback = on_both_backends(run)
+    assert vectorised == fallback
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_klsp_engines_agree_exactly(case):
+def test_klsp_backends_agree_exactly(case, on_both_backends):
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
     rng = random.Random(500 + seed)
@@ -222,43 +263,34 @@ def test_klsp_engines_agree_exactly(case):
     sources = rng.sample(nodes, 4)
     targets = rng.sample(nodes, 3)
 
-    def run(engine):
+    def run():
         sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-        table = KLShortestPaths(
-            sim, sources, targets, epsilon=0.25, seed=seed, engine=engine
-        ).run()
-        return table, sim
+        table = KLShortestPaths(sim, sources, targets, epsilon=0.25, seed=seed).run()
+        return table.estimates, sim.metrics.summary()
 
-    batch, batch_sim = run("batch")
-    legacy, legacy_sim = run("legacy")
-    assert batch.estimates == legacy.estimates
-    assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
+    vectorised, fallback = on_both_backends(run)
+    assert vectorised == fallback
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_weighted_apsp_engines_agree_exactly(case):
+def test_weighted_apsp_backends_agree_exactly(case, on_both_backends):
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
 
     for algorithm_factory in (
-        lambda sim, engine: SpannerAPSP(sim, epsilon=0.5, engine=engine),
-        lambda sim, engine: SkeletonAPSP(sim, alpha=1, seed=seed, engine=engine),
+        lambda sim: SpannerAPSP(sim, epsilon=0.5),
+        lambda sim: SkeletonAPSP(sim, alpha=1, seed=seed),
     ):
-        def run(engine):
+        def run():
             sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-            return algorithm_factory(sim, engine).run(), sim
+            return algorithm_factory(sim).run().estimates, sim.metrics.summary()
 
-        batch, batch_sim = run("batch")
-        legacy, legacy_sim = run("legacy")
-        assert batch.estimates == legacy.estimates
-        assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
+        vectorised, fallback = on_both_backends(run)
+        assert vectorised == fallback
 
 
-# ----------------------------------------------------------------------
-# BCC bridge: batch == legacy == the broadcast vector itself
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_bcc_engines_agree_and_deliver_everything(case):
+def test_bcc_backends_agree_exactly(case, on_both_backends):
     family, seed = case
     graph = GRAPH_FAMILIES[family](seed)
     schedule = [
@@ -266,35 +298,27 @@ def test_bcc_engines_agree_and_deliver_everything(case):
         {v: ("round1", str(v)) for v in graph.nodes},
     ]
 
-    def run(engine):
+    def run():
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return BCCBroadcast(sim, schedule, engine=engine).run(), sim
+        result = BCCBroadcast(sim, schedule).run()
+        return [r.received for r in result.rounds], sim.metrics.summary()
 
-    batch, batch_sim = run("batch")
-    legacy, legacy_sim = run("legacy")
-    assert batch.all_rounds_complete()
-    assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
-    for batch_round, legacy_round, broadcasts in zip(
-        batch.rounds, legacy.rounds, schedule
-    ):
-        assert batch_round.received == legacy_round.received
-        for view in batch_round.received.values():
-            assert view == broadcasts
+    vectorised, fallback = on_both_backends(run)
+    assert vectorised == fallback
 
 
-def test_bcc_simulator_engines_agree():
+def test_bcc_simulator_backends_agree(on_both_backends):
     graph = grid_graph(5, 2)
     broadcasts = {v: v * 3 for v in graph.nodes}
 
-    def run(engine):
+    def run():
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=1)
-        return BCCSimulator(sim, engine=engine).simulate_round(broadcasts), sim
+        result = BCCSimulator(sim).simulate_round(broadcasts)
+        return result.received, result.rounds_used, sim.metrics.summary()
 
-    batch, batch_sim = run("batch")
-    legacy, legacy_sim = run("legacy")
-    assert batch.received == legacy.received
-    assert batch.rounds_used == legacy.rounds_used
-    assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
+    vectorised, fallback = on_both_backends(run)
+    assert vectorised == fallback
+    assert all(view == broadcasts for view in vectorised[0].values())
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,19 @@ in both modes (the fault x charge-only regression).
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
 
 from repro.core.dissemination import KDissemination
+from repro.core.overlay import (
+    aggregate_via_tree,
+    basic_aggregation,
+    basic_dissemination,
+    broadcast_via_tree,
+    build_virtual_tree,
+)
 from repro.graphs.generators import (
     barbell_graph,
     broom_graph,
@@ -36,10 +44,8 @@ from repro.graphs.generators import (
     grid_graph,
     path_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
-    BatchAlgorithm,
     TokenPlane,
     batched_global_exchange,
     resilient_batched_global_exchange,
@@ -66,16 +72,6 @@ CASES = [(family, seed) for family in sorted(GRAPH_FAMILIES) for seed in SEEDS]
 def _ids(case):
     family, seed = case
     return f"{family}-s{seed}"
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +144,6 @@ def test_charge_view_shares_columns_and_drops_payloads(backend):
     assert view.words is plane.words
     # Idempotent: a charge-only plane is its own charge view.
     assert view.charge_view() is view
-    with pytest.raises(ChargeOnlyError):
-        list(view.iter_triples(HybridSimulator(path_graph(6), ModelConfig.hybrid())))
 
 
 def test_collect_from_charge_only_exchange_raises(backend):
@@ -173,14 +167,46 @@ def test_charge_only_inbox_read_raises(backend):
     batched_global_exchange(sim, [(0, 5, "x"), (1, 6, "y")], tag="g", collect=False)
     with pytest.raises(ChargeOnlyError):
         sim.per_node_inbox(GLOBAL_MODE)
+    # The per-node Message views guard both modes the same way.
+    sim.global_send_batch_ids([0], [5], [("g", 0)])
+    sim.local_send_batch_ids([3], [4], [("l", 0)])
+    sim.advance_round()
+    with pytest.raises(ChargeOnlyError):
+        sim.global_inbox(5)
+    with pytest.raises(ChargeOnlyError):
+        sim.local_inbox(4)
+    # The next round carries nothing: empty inboxes are exact, not a read
+    # of suppressed payloads.
+    sim.advance_round()
+    assert sim.global_inbox(5) == []
+    assert sim.local_inbox(4) == []
 
 
-def test_charge_only_requires_the_batch_engine():
-    sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-    with pytest.raises(ValueError, match="charge_only"):
-        BatchAlgorithm(sim, engine="legacy", charge_only=True)
-    with pytest.raises(ValueError, match="charge_only"):
-        KDissemination(sim, {0: ["t"]}, engine="batch-reference", charge_only=True)
+def test_tree_helpers_run_charge_only(backend):
+    """The virtual-tree helpers fold deliveries from their own planes, so a
+    charge-only simulator runs them with the payload run's exact metrics."""
+    graph = path_graph(16)
+
+    def run(charge_only):
+        sim = HybridSimulator(
+            graph, ModelConfig.hybrid0(), seed=3, charge_only=charge_only
+        )
+        tree = build_virtual_tree(sim)
+        values = {v: v + 1 for v in sim.nodes}
+        results = (
+            aggregate_via_tree(sim, tree, values, operator.add),
+            broadcast_via_tree(sim, tree, "bcast"),
+            basic_aggregation(sim, values, max, tree=tree),
+            basic_dissemination(sim, sim.nodes[9], ("tok", 9), tree=tree),
+        )
+        return results, sim.metrics.summary()
+
+    payload_results, payload_summary = run(False)
+    charged_results, charged_summary = run(True)
+    assert charged_summary == payload_summary
+    assert charged_results == payload_results
+    assert payload_results[0] == sum(range(1, 17))
+    assert payload_summary["global_messages"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -285,11 +311,11 @@ def test_crashed_endpoint_dissemination_identical_charge_only(case, backend):
 
 
 # ----------------------------------------------------------------------
-# Legacy tuple paths: *_send_batch bucket deliveries, charge-only
+# Multi-round global + local planes, charge-only
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
-    """Multi-round legacy-tuple traffic (global + local) under a crash +
+def test_multi_round_planes_charge_only_are_accounting_identical(seed, backend):
+    """Multi-round traffic (global + local) under a crash + link-failure +
     drop schedule: charge-only must replay every metric bit-for-bit."""
     n = 24
     graph = path_graph(n)
@@ -311,15 +337,17 @@ def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
             charge_only=charge_only,
         )
         for r in range(4):
-            sim.global_send_batch(
-                [
-                    (rng.randrange(n), rng.randrange(n), ("p", r, i))
-                    for i in range(40)
-                ],
+            sim.global_send_batch_ids(
+                [rng.randrange(n) for _ in range(40)],
+                [rng.randrange(n) for _ in range(40)],
+                [("p", r, i) for i in range(40)],
                 tag="tg",
             )
-            sim.local_send_batch(
-                [(i, i + 1, ("l", r, i)) for i in range(0, n - 1, 2)],
+            starts = list(range(0, n - 1, 2))
+            sim.local_send_batch_ids(
+                starts,
+                [i + 1 for i in starts],
+                [("l", r, i) for i in starts],
                 tag="tl",
             )
             sim.advance_round()
@@ -331,64 +359,9 @@ def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
     assert payload_summary["dropped_messages"] > 0
 
 
-def test_tuple_inbox_read_raises_charge_only(backend):
-    """Reading tuple traffic queued charge-only is a hard error on both
-    modes; a traffic-free round stays readable (an empty inbox is exact)."""
-    sim = HybridSimulator(
-        path_graph(8), ModelConfig.hybrid(), seed=0, charge_only=True
-    )
-    sim.global_send_to_node(0, 5, ("g", 0))
-    sim.local_send(3, 4, ("l", 0))
-    sim.advance_round()
-    with pytest.raises(ChargeOnlyError):
-        sim.global_inbox(5)
-    with pytest.raises(ChargeOnlyError):
-        sim.local_inbox(4)
-    # The next round carries nothing: empty inboxes are exact, not a read
-    # of suppressed payloads.
-    sim.advance_round()
-    assert sim.global_inbox(5) == []
-    assert sim.local_inbox(4) == []
-
-
-def test_mixed_tuple_and_plane_round_charge_only_identical(backend):
-    """One round mixing a token plane with legacy tuple sends: accounting
-    must match the payload run, and the read guard must still fire."""
-    n = 16
-
-    def run(charge_only):
-        sim = HybridSimulator(
-            path_graph(n),
-            ModelConfig.hybrid(strict=False),
-            seed=7,
-            charge_only=charge_only,
-        )
-        rng = random.Random("mixed")
-        count = 48
-        plane = TokenPlane(
-            [rng.randrange(n) for _ in range(count)],
-            [rng.randrange(n) for _ in range(count)],
-            [rng.choice([1, 2]) for _ in range(count)],
-            [("pp", i) for i in range(count)],
-        )
-        sim.global_send_plane(plane, tag="mx")
-        sim.global_send_batch(
-            [(rng.randrange(n), rng.randrange(n), ("tp", i)) for i in range(20)],
-            tag="mt",
-        )
-        sim.advance_round()
-        return sim
-
-    payload_sim = run(False)
-    charged_sim = run(True)
-    assert charged_sim.metrics.diff(payload_sim.metrics) == {}
-    with pytest.raises(ChargeOnlyError):
-        charged_sim.global_inbox(1)
-
-
-def test_tuple_charge_only_sparse_learning_is_identical(backend):
-    """HYBRID_0 sender-id learning reads only the sender column, so tuple
-    traffic with suppressed payloads must teach exactly the same ids."""
+def test_charge_only_sparse_learning_is_identical(backend):
+    """HYBRID_0 sender-id learning reads only the sender column, so traffic
+    with suppressed payloads must teach exactly the same ids."""
     n = 12
     graph = path_graph(n)
 
@@ -398,12 +371,14 @@ def test_tuple_charge_only_sparse_learning_is_identical(backend):
         )
         # Teach node 0 a distant identifier so its sends genuinely extend
         # the receiver's knowledge (neighbors are known from the start).
-        far_id = sim.id_of(9)
-        sim.declare_learned_ids(0, [far_id])
+        sim.declare_learned_ids(0, [sim.id_of(9)])
         for r in range(3):
-            sim.global_send(0, far_id, ("t", r))
-            sim.global_send_batch(
-                [(i, i + 1, ("u", r, i)) for i in range(n - 1)], tag="k"
+            sim.global_send_batch_ids([0], [9], [("t", r)])
+            sim.global_send_batch_ids(
+                list(range(n - 1)),
+                list(range(1, n)),
+                [("u", r, i) for i in range(n - 1)],
+                tag="k",
             )
             sim.advance_round()
         return (

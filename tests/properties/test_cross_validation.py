@@ -1,11 +1,12 @@
-"""Cross-validation of the batch-migrated algorithms against centralized truth.
+"""Cross-validation of the simulated algorithms against centralized truth.
 
-Every algorithm migrated onto the batch messaging engine (KDissemination,
+Every algorithm that moves traffic through the round engine (KDissemination,
 KAggregation, KLRouting, ApproxSSSP, and — since PR 3 — the shortest-paths
 stack: UnweightedApproxAPSP, KSourceShortestPaths, KLShortestPaths and the
 BCC bridge) is checked against :mod:`repro.baselines.centralized` reference
 solvers on a corpus of six graph families (path, cycle, grid, barbell, broom,
-Erdos-Renyi) x three seeds each.
+Erdos-Renyi) x three seeds each; the shortest-paths stack runs under both
+array backends (NumPy and the pure-Python fallback).
 """
 
 import math
@@ -130,9 +131,8 @@ def test_sssp_matches_centralized_dijkstra(case):
         assert estimate <= (1.0 + epsilon) * true_distance + 1e-9
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_apsp_matches_centralized_hop_truth(case, engine):
+def test_apsp_matches_centralized_hop_truth(case, backend):
     family, seed = case
     graph = unit_weights(GRAPH_FAMILIES[family](seed))
     truth = {
@@ -141,16 +141,15 @@ def test_apsp_matches_centralized_hop_truth(case, engine):
     }
 
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    table = UnweightedApproxAPSP(sim, epsilon=0.5, engine=engine).run()
+    table = UnweightedApproxAPSP(sim, epsilon=0.5).run()
 
     stretch = max_stretch_of_table(truth, table.estimates)
     assert stretch <= table.stretch_bound + 1e-6
     assert sim.metrics.capacity_violations == 0
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_ksp_matches_centralized_dijkstra(case, engine):
+def test_ksp_matches_centralized_dijkstra(case, backend):
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
     rng = random.Random(400 + seed)
@@ -159,7 +158,7 @@ def test_ksp_matches_centralized_dijkstra(case, engine):
 
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
     result = KSourceShortestPaths(
-        sim, sources, epsilon=0.25, sources_in_skeleton=True, seed=seed, engine=engine
+        sim, sources, epsilon=0.25, sources_in_skeleton=True, seed=seed
     ).run()
 
     for node in graph.nodes:
@@ -171,9 +170,8 @@ def test_ksp_matches_centralized_dijkstra(case, engine):
                 assert estimate <= result.stretch_bound * true_distance + 1e-6
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_klsp_matches_centralized_dijkstra(case, engine):
+def test_klsp_matches_centralized_dijkstra(case, backend):
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
     rng = random.Random(500 + seed)
@@ -184,7 +182,7 @@ def test_klsp_matches_centralized_dijkstra(case, engine):
 
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
     table = KLShortestPaths(
-        sim, sources, targets, epsilon=0.25, seed=seed, engine=engine
+        sim, sources, targets, epsilon=0.25, seed=seed
     ).run()
 
     pairs = [(t, s) for t in targets for s in sources]
@@ -192,15 +190,14 @@ def test_klsp_matches_centralized_dijkstra(case, engine):
     assert stretch <= table.stretch_bound + 1e-6
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_bcc_round_delivers_every_broadcast(case, engine):
+def test_bcc_round_delivers_every_broadcast(case, backend):
     family, seed = case
     graph = GRAPH_FAMILIES[family](seed)
     broadcasts = {v: ("bcast", v, seed) for v in graph.nodes}
 
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = BCCSimulator(sim, engine=engine).simulate_round(broadcasts)
+    result = BCCSimulator(sim).simulate_round(broadcasts)
 
     assert result.all_nodes_received_everything()
     assert result.rounds_used > 0

@@ -7,9 +7,13 @@ learning.  This grid pins that path against an independent twin in three
 operating modes — fault-free, a crash + link-failure + drop schedule, and
 charge-only — on both array backends:
 
-* the plane engine against the retained tuple engine (fault-free and faulted
-  rounds: the same records reach the same filters in the same order);
-* a charge-only run against the payload run it stands in for;
+* exchanges against the reference schedule (``_reference_shard_transfers``):
+  drops never refund budget, so rounds, messages and words match it in the
+  faulted mode too;
+* a charge-only run against the payload run it stands in for, and vice
+  versa;
+* one bulk plane against the same tokens sent as small shards (the array
+  capacity sweep against the per-node dict counters);
 * every result against the same run on the other array backend.
 
 Pinned quantities: ``RoundMetrics.diff`` (empty), the full metrics summary,
@@ -27,15 +31,12 @@ from repro.core.dissemination import KDissemination
 from repro.graphs.generators import erdos_renyi_graph, path_graph
 from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
-from repro.simulator.engine import (
-    TokenPlane,
-    _reference_batched_global_exchange,
-    batched_global_exchange,
-)
+from repro.simulator.engine import TokenPlane, batched_global_exchange
 from repro.simulator.errors import CapacityExceededError
 from repro.simulator.faults import CrashEvent, FaultSchedule, LinkFailure
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
+from schedule_oracle import expected_exchange
 
 MODES = ["fault-free", "faulted", "charge-only"]
 
@@ -123,8 +124,9 @@ def _knowledge_state(sim):
 # ----------------------------------------------------------------------
 # Scenario drivers (return everything the grid pins)
 # ----------------------------------------------------------------------
-def _run_exchange(seed, mode, *, tuple_engine=False, charge_only=None):
-    """Congested multi-round exchange, non-strict: metrics pinned."""
+def _run_exchange(seed, mode, *, charge_only=None):
+    """Congested multi-round exchange, non-strict: metrics pinned, plus what
+    the reference schedule expects of it."""
     graph = erdos_renyi_graph(36, 0.15, seed=seed)
     rng = random.Random(f"delivery-{seed}-{mode}")
     sim = HybridSimulator(
@@ -135,14 +137,11 @@ def _run_exchange(seed, mode, *, tuple_engine=False, charge_only=None):
     )
     budget = sim.global_budget_words()
     triples = _congested_triples(rng, 36, min(budget, 57))
-    if tuple_engine:
-        _reference_batched_global_exchange(sim, triples, tag="sd")
-    else:
-        batched_global_exchange(sim, triples, tag="sd", collect=False)
-    return sim.metrics
+    batched_global_exchange(sim, triples, tag="sd", collect=False)
+    return sim.metrics, expected_exchange(budget, triples, "sd")
 
 
-def _run_dissemination(seed, mode, *, engine="batch", charge_only=None):
+def _run_dissemination(seed, mode, *, charge_only=None):
     """HYBRID_0 dissemination: metrics + full knowledge state pinned."""
     graph = erdos_renyi_graph(30, 0.18, seed=seed + 40)
     rng = random.Random(f"kdiss-{seed}-{mode}")
@@ -155,13 +154,14 @@ def _run_dissemination(seed, mode, *, engine="batch", charge_only=None):
         seed=seed,
         **_sim_kwargs(mode, seed, _dissemination_schedule, charge_only=charge_only),
     )
-    result = KDissemination(sim, tokens, engine=engine).run()
+    result = KDissemination(sim, tokens).run()
     return result, _knowledge_state(sim)
 
 
-def _run_overload(seed, mode, *, strict=False, tuples=False, charge_only=None):
-    """Planes (or the same tuples) sent over budget on purpose: the sweep
-    reports the violation counts (non-strict) or the first offender (strict)."""
+def _run_overload(seed, mode, *, strict=False, chunked=False, charge_only=None):
+    """One plane sent over budget on purpose, whole or as small shards: the
+    sweep reports the violation counts (non-strict) or the first offender
+    (strict)."""
     graph = path_graph(24)
     rng = random.Random(f"overload-{seed}-{mode}")
     sim = HybridSimulator(
@@ -176,17 +176,17 @@ def _run_overload(seed, mode, *, strict=False, tuples=False, charge_only=None):
     receivers = [rng.choice([5, 11]) for _ in range(count)]
     payloads = [("p", i, "x" * 8 * rng.choice([0, 1, 2])) for i in range(count)]
     outcome = None
+    plane = TokenPlane(senders, receivers, [payload_words(p) for p in payloads], payloads)
     try:
-        if tuples:
-            nodes = sim.nodes
-            sim.global_send_batch(
-                [(nodes[s], nodes[r], p) for s, r, p in zip(senders, receivers, payloads)],
-                tag="ov",
-            )
+        if chunked:
+            # Shards below the simulator's small-shard cutoff feed the
+            # per-node dict counters instead of the dense arrays.
+            step = HybridSimulator._SMALL_SHARD // 2
+            for start in range(0, count, step):
+                sim.global_send_plane(
+                    plane, list(range(start, min(start + step, count))), tag="ov"
+                )
         else:
-            plane = TokenPlane(
-                senders, receivers, [payload_words(p) for p in payloads], payloads
-            )
             sim.global_send_plane(plane, tag="ov")
         sim.advance_round()
     except CapacityExceededError as exc:
@@ -200,13 +200,15 @@ def _run_overload(seed, mode, *, strict=False, tuples=False, charge_only=None):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", range(12))
 def test_exchange_delivery_is_bit_identical(seed, mode, backend):
-    plane = _run_exchange(seed, mode)
-    if mode == "charge-only":
-        twin = _run_exchange(seed, mode, charge_only=False)
-    else:
-        twin = _run_exchange(seed, mode, tuple_engine=True)
+    plane, expected = _run_exchange(seed, mode)
+    twin, _ = _run_exchange(seed, mode, charge_only=mode != "charge-only")
     assert plane.diff(twin) == {}
     assert plane.summary() == twin.summary()
+    assert (plane.measured_rounds, plane.global_messages, plane.global_words) == (
+        expected.rounds,
+        expected.messages,
+        expected.words,
+    )
     if mode == "faulted":
         assert plane.summary()["dropped_messages"] > 0
     else:
@@ -220,10 +222,9 @@ def test_exchange_delivery_is_bit_identical(seed, mode, backend):
 @pytest.mark.parametrize("seed", range(8))
 def test_dissemination_delivery_is_bit_identical(seed, mode, backend):
     result, known = _run_dissemination(seed, mode)
-    if mode == "charge-only":
-        twin, twin_known = _run_dissemination(seed, mode, charge_only=False)
-    else:
-        twin, twin_known = _run_dissemination(seed, mode, engine="batch-reference")
+    twin, twin_known = _run_dissemination(
+        seed, mode, charge_only=mode != "charge-only"
+    )
     assert result.metrics.diff(twin.metrics) == {}
     assert known == twin_known
     if mode == "fault-free":
@@ -240,9 +241,9 @@ def test_dissemination_delivery_is_bit_identical(seed, mode, backend):
 @pytest.mark.parametrize("seed", range(6))
 def test_capacity_sweep_is_bit_identical(seed, mode, backend):
     plane, plane_error = _run_overload(seed, mode)
-    tuples, tuple_error = _run_overload(seed, mode, tuples=True)
-    assert plane.diff(tuples) == {}
-    assert plane_error == tuple_error is None
+    chunks, chunk_error = _run_overload(seed, mode, chunked=True)
+    assert plane.diff(chunks) == {}
+    assert plane_error == chunk_error is None
     assert plane.capacity_violations > 0
     _pin_across_backends(
         test_capacity_sweep_is_bit_identical, (seed, mode), plane.summary(), backend
@@ -252,10 +253,10 @@ def test_capacity_sweep_is_bit_identical(seed, mode, backend):
 @pytest.mark.parametrize("seed", range(2))
 def test_strict_sweep_reports_the_identical_first_offender(seed, backend):
     plane, plane_error = _run_overload(seed, "fault-free", strict=True)
-    tuples, tuple_error = _run_overload(seed, "fault-free", strict=True, tuples=True)
+    chunks, chunk_error = _run_overload(seed, "fault-free", strict=True, chunked=True)
     assert plane_error is not None and "global words in round" in plane_error
-    assert tuple_error == plane_error
-    assert plane.diff(tuples) == {}
+    assert chunk_error == plane_error
+    assert plane.diff(chunks) == {}
     _pin_across_backends(
         test_strict_sweep_reports_the_identical_first_offender,
         seed,

@@ -35,7 +35,6 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.faults import (
@@ -49,16 +48,6 @@ from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
 
 SEEDS = [0, 1, 2]
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 def _mixed_traffic(sim, rng, rounds=4):
@@ -86,7 +75,11 @@ def _mixed_traffic(sim, rng, rounds=4):
             payloads.append(payload)
         sim.global_send_batch_ids(senders, receivers, payloads, tag="fi")
         picks = [edges[rng.randrange(len(edges))] for _ in range(rng.randrange(5, 20))]
-        sim.local_send_batch([(u, v, ("l", r, i)) for i, (u, v) in enumerate(picks)])
+        sim.local_send_batch_ids(
+            [u for u, _ in picks],
+            [v for _, v in picks],
+            [("l", r, i) for i in range(len(picks))],
+        )
         sim.advance_round()
         trace.append(
             {
@@ -170,9 +163,9 @@ def test_link_failure_drops_only_the_failed_edge(backend):
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=0, fault_schedule=schedule)
     got = {1: [], 2: [], 3: []}
     for _ in range(3):
-        sim.local_send_batch(
-            [(1, 2, ("down", sim.round)), (2, 1, ("down-rev", sim.round)),
-             (2, 3, ("up", sim.round))]
+        sim.local_send_batch_ids(
+            [1, 2, 2], [2, 1, 3],
+            [("down", sim.round), ("down-rev", sim.round), ("up", sim.round)],
         )
         sim.advance_round()
         inbox = sim.per_node_inbox(LOCAL_MODE)

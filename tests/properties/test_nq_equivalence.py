@@ -152,15 +152,10 @@ def test_index_is_cached_and_invalidated():
     "family,seed",
     [pytest.param("grid", 0, id="grid"), pytest.param("erdos_renyi", 1, id="er")],
 )
-def test_distributed_engines_agree_and_match_centralized(family, seed):
+def test_distributed_computation_matches_centralized(family, seed, backend):
     graph = generate_graph(FAMILY_SPECS[family](seed))
     k = max(4, graph.number_of_nodes() // 3)
-    results = {}
-    for engine in ("batch", "legacy"):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        results[engine] = DistributedNQComputation(sim, k, engine=engine).run()
-    batch, legacy = results["batch"], results["legacy"]
-    assert batch.nq == legacy.nq == neighborhood_quality(graph, k)
-    assert batch.per_node == legacy.per_node
-    assert batch.metrics.measured_rounds == legacy.metrics.measured_rounds
-    assert batch.metrics.total_rounds == legacy.metrics.total_rounds
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    result = DistributedNQComputation(sim, k).run()
+    assert result.nq == neighborhood_quality(graph, k)
+    assert result.per_node == neighborhood_quality_per_node(graph, k)

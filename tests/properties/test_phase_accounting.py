@@ -4,9 +4,8 @@ Two families of properties:
 
 * **Phase-log conservation** — :attr:`BatchAlgorithm.phase_log` records
   per-phase *deltas*; summed over a whole run they must reproduce the
-  simulator's final :class:`RoundMetrics` totals exactly, on every engine
-  (``batch``, ``batch-reference``, ``legacy``), so no round, charge, or
-  message is ever accounted outside a named phase.
+  simulator's final :class:`RoundMetrics` totals exactly, so no round,
+  charge, or message is ever accounted outside a named phase.
 * **Lazy all-pairs tables** — the lazy ``SkeletonAPSP`` /
   ``SqrtNSkeletonAPSP`` / ``KSourceShortestPaths`` assemblies moved only the
   table *construction* to first use: round/charge totals are pinned to the
@@ -33,8 +32,6 @@ from repro.graphs.generators import (
 from repro.graphs.weighted import assign_random_weights
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
-
-ENGINES = ("batch", "batch-reference", "legacy")
 
 GRAPH_FAMILIES = {
     "path": lambda seed: path_graph(24),
@@ -63,28 +60,26 @@ def _assert_log_matches_totals(algorithm, metrics):
 
 
 # ----------------------------------------------------------------------
-# phase_log deltas sum to the RoundMetrics totals, on all three engines
+# phase_log deltas sum to the RoundMetrics totals
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_dissemination_phase_log_sums_to_totals(case, engine):
+def test_dissemination_phase_log_sums_to_totals(case, backend):
     family, seed = case
     graph = GRAPH_FAMILIES[family](seed)
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
     tokens = {v: [("acct", sim.id_of(v))] for v in sim.nodes}
-    algorithm = KDissemination(sim, tokens, engine=engine)
+    algorithm = KDissemination(sim, tokens)
     algorithm.run()
     _assert_log_matches_totals(algorithm, sim.metrics)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case", CASES[:4], ids=_ids)
-def test_skeleton_apsp_phase_log_sums_to_totals(case, engine):
+def test_skeleton_apsp_phase_log_sums_to_totals(case, backend):
     """Nested KDissemination runs inside phases stay within the phase delta."""
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=7, seed=seed)
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed, engine=engine)
+    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed)
     algorithm.run()
     _assert_log_matches_totals(algorithm, sim.metrics)
 

@@ -4,8 +4,9 @@ The token-plane scheduler must be **schedule-identical** to the retained
 greedy reference (``_reference_shard_transfers``) on every workload shape —
 uncongested, congested, mixed token sizes, oversized tokens hitting the
 forced-through branch — under both array backends (NumPy and the pure-Python
-fallback).  The bulk id-native send paths must produce the same inboxes,
-metrics, capacity accounting and knowledge as the tuple paths.  Each property
+fallback).  Exchanges must deliver exactly what the reference schedule
+predicts, and the bulk id-native send paths must produce the inboxes,
+metrics, capacity accounting and knowledge their columns imply.  Each property
 is exercised across seeds; the fallback is selected by monkeypatching
 ``repro.simulator._accel.np`` (exactly what ``REPRO_NO_NUMPY=1`` does at
 import time).
@@ -21,29 +22,19 @@ from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     ExchangeTag,
     TokenPlane,
-    _reference_batched_global_exchange,
     _reference_shard_transfers,
     batched_global_exchange,
     plan_token_rounds,
 )
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
+from schedule_oracle import expected_exchange
 
 SEEDS = [0, 1, 2, 3, 4]
 
 requires_numpy = pytest.mark.skipif(
     _accel.np is None, reason="NumPy not available; vectorised leg is inactive"
 )
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -150,14 +141,14 @@ def test_forced_oversized_branch_matches_reference(backend):
 
 
 # ----------------------------------------------------------------------
-# Exchange equivalence (plane vs reference vs legacy transport)
+# Exchanges against the reference schedule
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exchange_engines_deliver_identically(seed, backend):
+def test_exchange_delivers_the_reference_schedule(seed, backend):
     rng = random.Random(9000 + seed)
     graph = path_graph(24)
     senders, receivers, words = _mixed_sizes(rng, 24)
-    # Real payload sizes (the engines compute words themselves here).
+    # Real payload sizes (the exchange computes words itself here).
     triples = [
         (senders[i], receivers[i], ("m", i, "x" * (words[i] * 8 - 8)))
         for i in range(len(words))
@@ -167,13 +158,9 @@ def test_exchange_engines_deliver_identically(seed, backend):
         return HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
 
     plane_sim = fresh()
-    reference_sim = fresh()
-    delivered_plane = batched_global_exchange(plane_sim, list(triples), tag="rt")
-    delivered_reference = _reference_batched_global_exchange(
-        reference_sim, list(triples), tag="rt"
-    )
-    assert delivered_plane == delivered_reference
-    assert plane_sim.metrics.summary() == reference_sim.metrics.summary()
+    expected = expected_exchange(plane_sim.global_budget_words(), triples, "rt")
+    delivered = batched_global_exchange(plane_sim, list(triples), tag="rt")
+    expected.assert_matches(delivered, plane_sim.metrics)
 
     # collect=False runs the identical schedule without assembling results.
     silent_sim = fresh()
@@ -182,7 +169,7 @@ def test_exchange_engines_deliver_identically(seed, backend):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_exchange_equivalence_under_hybrid0(seed, backend):
+def test_exchange_under_hybrid0_teaches_sender_ids(seed, backend):
     graph = erdos_renyi_graph(20, 0.25, seed=seed)
     edges = sorted(graph.edges)
     rng = random.Random(777 + seed)
@@ -193,25 +180,21 @@ def test_exchange_equivalence_under_hybrid0(seed, backend):
             u, v = v, u
         triples.append((u, v, ("p", rng.randrange(50))))
 
-    def run(runner):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        delivered = runner(sim, list(triples))
-        return delivered, sim
-
-    plane, plane_sim = run(lambda sim, t: batched_global_exchange(sim, t, tag="h0"))
-    reference, reference_sim = run(
-        lambda sim, t: _reference_batched_global_exchange(sim, t, tag="h0")
-    )
-    assert plane == reference
-    assert plane_sim.metrics.summary() == reference_sim.metrics.summary()
-    for node in plane_sim.nodes:
-        assert plane_sim.known_ids(node) == reference_sim.known_ids(node)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    before = {node: sim.known_ids(node) for node in sim.nodes}
+    expected = expected_exchange(sim.global_budget_words(), triples, "h0")
+    delivered = batched_global_exchange(sim, list(triples), tag="h0")
+    expected.assert_matches(delivered, sim.metrics)
+    # Every receiver learned the identifier of every sender it heard from.
+    for node in sim.nodes:
+        heard = {sim.id_of(sender) for sender, receiver, _ in triples if receiver == node}
+        assert sim.known_ids(node) == before[node] | heard
 
 
 def test_exchange_is_collision_proof_for_shared_tags(backend):
     """Foreign traffic sharing BOTH the tag and a receiver no longer leaks."""
     sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-    sim.global_send_batch([(0, 2, "foreign")], tag="x")
+    sim.global_send_batch_ids([0], [2], ["foreign"], tag="x")
     delivered = batched_global_exchange(sim, [(1, 2, "mine")], tag="x")
     assert delivered == {2: ["mine"]}
     # The foreign record is still delivered and readable from the inbox.
@@ -231,17 +214,28 @@ def test_exchange_tag_words_charge_only_the_prefix():
 # ----------------------------------------------------------------------
 # Bulk id-native sends: capacity counters, inboxes, knowledge
 # ----------------------------------------------------------------------
+def _expected_inbox(nodes, senders, receivers, payloads, tag):
+    """Per-receiver ``(sender, payload, tag, words)`` records, in send order."""
+    tag_words = payload_words(tag)
+    inbox = {}
+    for sender, receiver, payload in zip(senders, receivers, payloads):
+        inbox.setdefault(nodes[receiver], []).append(
+            (nodes[sender], payload, tag, payload_words(payload) + tag_words)
+        )
+    return inbox
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_global_plane_and_tuple_sends_are_equivalent(seed, backend):
+def test_global_plane_sends_deliver_their_columns(seed, backend):
     graph = erdos_renyi_graph(30, 0.2, seed=seed)
     rng = random.Random(4000 + seed)
-    plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    tuple_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    indexer = plane_sim.node_indexer()
-    nodes = plane_sim.nodes
+    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
+    indexer = sim.node_indexer()
+    nodes = sim.nodes
 
-    budget = plane_sim.global_budget_words()
+    budget = sim.global_budget_words()
     tag_words = payload_words("eq")
+    messages = words = 0
     for _ in range(4):
         senders, receivers, payloads, sent = [], [], [], {}
         for _ in range(rng.randrange(1, 80)):
@@ -254,26 +248,24 @@ def test_global_plane_and_tuple_sends_are_equivalent(seed, backend):
             senders.append(sender)
             receivers.append(rng.randrange(len(nodes)))
             payloads.append(payload)
-        plane_sim.global_send_batch_ids(senders, receivers, payloads, tag="eq")
-        tuple_sim.global_send_batch(
-            [
-                (nodes[senders[i]], nodes[receivers[i]], payloads[i])
-                for i in range(len(payloads))
-            ],
-            tag="eq",
-        )
-        plane_sim.advance_round()
-        tuple_sim.advance_round()
-        assert plane_sim.per_node_inbox(GLOBAL_MODE) == tuple_sim.per_node_inbox(GLOBAL_MODE)
-        assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+        sim.global_send_batch_ids(senders, receivers, payloads, tag="eq")
+        sim.advance_round()
+        expected = _expected_inbox(nodes, senders, receivers, payloads, "eq")
+        assert sim.per_node_inbox(GLOBAL_MODE) == expected
+        messages += len(payloads)
+        words += sum(record[3] for records in expected.values() for record in records)
+        assert sim.metrics.global_messages == messages
+        assert sim.metrics.global_words == words
         for node in nodes:
-            assert plane_sim.inbox(node) == tuple_sim.inbox(node)
+            assert [
+                (m.sender, m.payload, m.tag) for m in sim.inbox(node)
+            ] == [record[:3] for record in expected.get(node, ())]
     assert indexer[nodes[5]] == 5
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_plane_sends_record_overloads_like_tuple_sends(seed, backend):
-    """Receive-side overload: same violation count through both paths."""
+def test_plane_sends_record_receive_overload(seed, backend):
+    """Receive-side overload of one node: one recorded violation."""
     graph = path_graph(40)
     budget = HybridSimulator(graph, ModelConfig.hybrid()).global_budget_words()
     count = budget + 6
@@ -281,46 +273,36 @@ def test_plane_sends_record_overloads_like_tuple_sends(seed, backend):
     receivers = [0] * count
     payloads = ["x"] * count
 
-    plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    plane_sim.global_send_batch_ids(senders, receivers, payloads)
-    plane_sim.advance_round()
+    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
+    sim.global_send_batch_ids(senders, receivers, payloads)
+    sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    tuple_sim.global_send_batch((s, 0, "x") for s in senders)
-    tuple_sim.advance_round()
-
-    assert plane_sim.metrics.capacity_violations == tuple_sim.metrics.capacity_violations > 0
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+    assert sim.metrics.capacity_violations == 1
+    assert sim.metrics.max_global_words_per_node_round == count
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_local_plane_and_tuple_sends_are_equivalent(seed, backend):
+def test_local_plane_sends_deliver_their_columns(seed, backend):
     graph = erdos_renyi_graph(25, 0.25, seed=seed)
     rng = random.Random(6000 + seed)
-    plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    tuple_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    nodes = plane_sim.nodes
-    indexer = plane_sim.node_indexer()
+    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
+    nodes = sim.nodes
+    indexer = sim.node_indexer()
     edges = sorted(graph.edges)
 
+    messages = 0
     for _ in range(3):
         picks = [edges[rng.randrange(len(edges))] for _ in range(rng.randrange(1, 60))]
         picks = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picks]
         payloads = [("l", rng.randrange(100)) for _ in picks]
-        plane_sim.local_send_batch_ids(
-            [indexer[u] for u, _ in picks],
-            [indexer[v] for _, v in picks],
-            payloads,
-            tag="lt",
-        )
-        tuple_sim.local_send_batch(
-            [(u, v, payloads[i]) for i, (u, v) in enumerate(picks)], tag="lt"
-        )
-        plane_sim.advance_round()
-        tuple_sim.advance_round()
-        assert plane_sim.per_node_inbox(LOCAL_MODE) == tuple_sim.per_node_inbox(LOCAL_MODE)
-        assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
-    assert nodes == tuple_sim.nodes
+        senders = [indexer[u] for u, _ in picks]
+        receivers = [indexer[v] for _, v in picks]
+        sim.local_send_batch_ids(senders, receivers, payloads, tag="lt")
+        sim.advance_round()
+        expected = _expected_inbox(nodes, senders, receivers, payloads, "lt")
+        assert sim.per_node_inbox(LOCAL_MODE) == expected
+        messages += len(payloads)
+        assert sim.metrics.local_messages == messages
 
 
 def test_plane_send_validates_adjacency_and_membership(backend):
@@ -354,10 +336,9 @@ def test_plane_send_enforces_hybrid0_knowledge(backend):
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the three engines agree on a full algorithm run
+# End-to-end: both backends agree on a full algorithm run
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["batch", "batch-reference", "legacy"])
-def test_dissemination_engines_agree_on_pinned_instance(engine, backend):
+def test_dissemination_backends_agree_on_pinned_instance(backend):
     from repro.core.dissemination import KDissemination
 
     graph = path_graph(30)
@@ -366,24 +347,23 @@ def test_dissemination_engines_agree_on_pinned_instance(engine, backend):
     for index in range(16):
         tokens.setdefault(rng.randrange(30), []).append(("tok", index))
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=5)
-    result = KDissemination(sim, tokens, engine=engine).run()
+    result = KDissemination(sim, tokens).run()
     assert result.all_nodes_know_all_tokens()
     assert result.metrics.capacity_violations == 0
     summary = result.metrics.summary()
-    # All engines and both backends must produce this exact summary; pin the
-    # discriminating fields against cross-engine drift.
-    assert summary["measured_rounds"] == summary["measured_rounds"]
+    # Both backends must produce this exact summary; pin the discriminating
+    # fields against cross-backend drift.
     key = (
         summary["measured_rounds"],
         summary["total_rounds"],
         summary["global_messages"],
         summary["global_words"],
     )
-    pinned = getattr(test_dissemination_engines_agree_on_pinned_instance, "_pin", None)
+    pinned = getattr(test_dissemination_backends_agree_on_pinned_instance, "_pin", None)
     if pinned is None:
-        test_dissemination_engines_agree_on_pinned_instance._pin = key
+        test_dissemination_backends_agree_on_pinned_instance._pin = key
     else:
-        assert key == pinned, f"engine={engine} backend={backend} drifted: {key} != {pinned}"
+        assert key == pinned, f"backend={backend} drifted: {key} != {pinned}"
 
 
 # ----------------------------------------------------------------------

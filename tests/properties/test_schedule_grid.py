@@ -14,8 +14,9 @@ Groups that share no sender counter and no receiver counter are independent
 under the greedy scan, so the whole schedule is the round-by-round,
 ascending-position union of the groups' schedules — checked for node-disjoint
 groups and for groups that share nodes across roles only.  Exchange- and
-algorithm-level tests pin that the plane engine delivers what the retained
-tuple engine delivers, in the number of rounds the planner predicts.
+algorithm-level tests pin that an exchange delivers what the reference
+schedule predicts, in the number of rounds the planner predicts, and that a
+whole dissemination run is identical on both backends.
 """
 
 from __future__ import annotations
@@ -34,18 +35,17 @@ from repro.graphs.generators import (
     grid_graph,
     path_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     ExchangeTag,
     TokenPlane,
-    _reference_batched_global_exchange,
     _reference_shard_transfers,
     batched_global_exchange,
     plan_token_rounds,
 )
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
+from schedule_oracle import expected_exchange
 
 SEEDS = [0, 1, 2]
 BUDGETS = [8, 13, 24, 57]
@@ -65,16 +65,6 @@ CASES = [(family, seed) for family in sorted(GRAPH_FAMILIES) for seed in SEEDS]
 def _ids(case):
     family, seed = case
     return f"{family}-s{seed}"
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +272,7 @@ def test_uncongested_workload_is_one_round(seed, backend):
 # Exchange- and algorithm-level identity
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exchange_matches_the_tuple_engine(seed, backend):
+def test_exchange_matches_the_reference_schedule(seed, backend):
     graph = erdos_renyi_graph(36, 0.15, seed=seed)
     rng = random.Random(6300 + seed)
     budget = HybridSimulator(graph, ModelConfig.hybrid()).global_budget_words()
@@ -292,16 +282,11 @@ def test_exchange_matches_the_tuple_engine(seed, backend):
         for i in range(len(words))
     ]
 
-    def run(exchange):
-        sim = HybridSimulator(graph, ModelConfig(strict=False), seed=seed)
-        delivered = exchange(sim, list(triples), tag="sp")
-        return delivered, sim.metrics.summary()
-
-    plane = run(batched_global_exchange)
-    reference = run(_reference_batched_global_exchange)
-    assert plane[0] == reference[0]
-    assert plane[1] == reference[1]
-    assert plane[1]["capacity_violations"] == 0
+    sim = HybridSimulator(graph, ModelConfig(strict=False), seed=seed)
+    expected = expected_exchange(sim.global_budget_words(), triples, "sp")
+    delivered = batched_global_exchange(sim, list(triples), tag="sp")
+    expected.assert_matches(delivered, sim.metrics)
+    assert sim.metrics.capacity_violations == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
@@ -322,8 +307,12 @@ def test_exchange_runs_the_planned_number_of_rounds(seed, backend):
     assert sim.metrics.summary()["measured_rounds"] == len(planned) > 1
 
 
+#: seed -> metrics summary of the first backend to run the barbell instance.
+_BARBELL_SUMMARIES = {}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dissemination_engines_agree_on_barbell(seed, backend):
+def test_dissemination_backends_agree_on_barbell(seed, backend):
     graph = GRAPH_FAMILIES["barbell"](seed)
     rng = random.Random(7400 + seed)
     tokens = {}
@@ -331,11 +320,8 @@ def test_dissemination_engines_agree_on_barbell(seed, backend):
         tokens.setdefault(rng.randrange(graph.number_of_nodes()), []).append(
             ("tok", index)
         )
-
-    def run(engine):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        result = KDissemination(sim, tokens, engine=engine).run()
-        assert result.all_nodes_know_all_tokens()
-        return result.metrics.summary()
-
-    assert run("batch") == run("batch-reference")
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    result = KDissemination(sim, tokens).run()
+    assert result.all_nodes_know_all_tokens()
+    summary = result.metrics.summary()
+    assert _BARBELL_SUMMARIES.setdefault(seed, summary) == summary

@@ -1,4 +1,4 @@
-"""Seeded randomized invariants of the batch messaging engine.
+"""Seeded randomized invariants of the token-plane send and delivery path.
 
 Three conservation/equivalence properties of :class:`HybridSimulator`:
 
@@ -8,9 +8,9 @@ Three conservation/equivalence properties of :class:`HybridSimulator`:
 (b) **Capacity soundness** — ``capacity_violations == 0`` implies every node
     stayed within ``global_budget_words()`` on both the send and the receive
     side in every round (and, conversely, a forced overload is recorded).
-(c) **Engine equivalence** — the batch send path and the legacy per-message
-    path produce identical inboxes, identical metrics and identical knowledge
-    on the same seeded workload.
+(c) **Granularity independence** — a round sent as one bulk plane and the
+    same round sent one message per plane produce identical inboxes,
+    identical metrics and identical knowledge on the same seeded workload.
 """
 
 import dataclasses
@@ -64,6 +64,18 @@ def _fresh_sim(graph, seed):
     return HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
 
 
+def _send(sim, triples, mode, tag=None):
+    """Queue ``(sender, receiver, payload)`` triples as one plane."""
+    send = sim.local_send_batch_ids if mode == LOCAL_MODE else sim.global_send_batch_ids
+    index = sim.node_index
+    send(
+        [index(u) for u, _, _ in triples],
+        [index(v) for _, v, _ in triples],
+        [payload for _, _, payload in triples],
+        tag=tag,
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_words_sent_equal_words_received_per_round(seed):
     graph = erdos_renyi_graph(40, 0.15, seed=seed)
@@ -75,8 +87,8 @@ def test_words_sent_equal_words_received_per_round(seed):
         local_queued = sum(payload_words(p) for _, _, p in local)
         global_queued = sum(payload_words(p) for _, _, p in global_)
         before_local, before_global = sim.metrics.local_words, sim.metrics.global_words
-        sim.local_send_batch(local)
-        sim.global_send_batch(global_)
+        _send(sim, local, LOCAL_MODE)
+        _send(sim, global_, GLOBAL_MODE)
         sim.advance_round()
         # Sent words as accounted by the metrics...
         assert sim.metrics.local_words - before_local == local_queued
@@ -113,7 +125,7 @@ def test_no_violations_implies_within_budget(seed):
             words = payload_words(payload)
             sent[u] += words
             received[v] += words
-        sim.global_send_batch(global_)
+        _send(sim, global_, GLOBAL_MODE)
         sim.advance_round()
         if sim.metrics.capacity_violations == 0:
             # The implication under test: zero recorded violations means no
@@ -130,8 +142,10 @@ def test_no_violations_implies_within_budget(seed):
         # aim every node's full budget at a single receiver.
         nodes = sim.nodes
         target = nodes[0]
-        sim.global_send_batch(
-            (u, target, tuple(range(budget - 1))) for u in nodes[1 : budget + 2]
+        _send(
+            sim,
+            [(u, target, tuple(range(budget - 1))) for u in nodes[1 : budget + 2]],
+            GLOBAL_MODE,
         )
         sim.advance_round()
         assert sim.metrics.capacity_violations > 0
@@ -139,12 +153,12 @@ def test_no_violations_implies_within_budget(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("hybrid0", [False, True])
-def test_batch_and_legacy_sends_are_equivalent(seed, hybrid0):
+def test_bulk_and_per_message_planes_are_equivalent(seed, hybrid0):
     graph = erdos_renyi_graph(32, 0.18, seed=seed)
     config = ModelConfig.hybrid0() if hybrid0 else ModelConfig.hybrid()
     batch_sim = HybridSimulator(graph, config, seed=seed)
-    legacy_sim = HybridSimulator(graph, config, seed=seed)
-    assert batch_sim.nodes == legacy_sim.nodes
+    single_sim = HybridSimulator(graph, config, seed=seed)
+    assert batch_sim.nodes == single_sim.nodes
     rng = random.Random(3000 + seed)
     budget = batch_sim.global_budget_words()
     workload = _random_workload(graph, rng, budget, tag_words=payload_words("gt"))
@@ -159,23 +173,23 @@ def test_batch_and_legacy_sends_are_equivalent(seed, hybrid0):
         ]
 
     for local, global_ in workload:
-        batch_sim.local_send_batch(local, tag="lt")
-        batch_sim.global_send_batch(global_, tag="gt")
-        for u, v, payload in local:
-            legacy_sim.local_send(u, v, payload, tag="lt")
-        for u, v, payload in global_:
-            legacy_sim.global_send_to_node(u, v, payload, tag="gt")
+        _send(batch_sim, local, LOCAL_MODE, tag="lt")
+        _send(batch_sim, global_, GLOBAL_MODE, tag="gt")
+        for triple in local:
+            _send(single_sim, [triple], LOCAL_MODE, tag="lt")
+        for triple in global_:
+            _send(single_sim, [triple], GLOBAL_MODE, tag="gt")
         batch_sim.advance_round()
-        legacy_sim.advance_round()
+        single_sim.advance_round()
 
         # Identical pre-bucketed inboxes (records carry sender/payload/tag/words).
         for mode in (LOCAL_MODE, GLOBAL_MODE):
-            assert batch_sim.per_node_inbox(mode) == legacy_sim.per_node_inbox(mode)
-        # Identical materialised Message inboxes through the legacy accessors.
+            assert batch_sim.per_node_inbox(mode) == single_sim.per_node_inbox(mode)
+        # Identical materialised Message inboxes.
         for node in batch_sim.nodes:
-            assert batch_sim.inbox(node) == legacy_sim.inbox(node)
+            assert batch_sim.inbox(node) == single_sim.inbox(node)
         # Identical metrics and knowledge.
-        assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
-        assert dataclasses.asdict(batch_sim.metrics) == dataclasses.asdict(legacy_sim.metrics)
+        assert batch_sim.metrics.summary() == single_sim.metrics.summary()
+        assert dataclasses.asdict(batch_sim.metrics) == dataclasses.asdict(single_sim.metrics)
         for node in batch_sim.nodes:
-            assert batch_sim.known_ids(node) == legacy_sim.known_ids(node)
+            assert batch_sim.known_ids(node) == single_sim.known_ids(node)

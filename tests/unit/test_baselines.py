@@ -24,6 +24,7 @@ from repro.graphs.properties import diameter
 from repro.graphs.weighted import assign_random_weights, unit_weights
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
+from schedule_oracle import expected_exchange
 
 
 class TestCentralizedReferences:
@@ -126,23 +127,25 @@ class TestNaiveGlobalBroadcast:
             costs.append(sim.metrics.measured_rounds)
         assert costs[1] >= 2 * costs[0]
 
-    def test_batch_and_legacy_engines_agree_exactly(self):
+    def test_unicast_follows_the_reference_schedule(self):
         g = grid_graph(4, 2)
         tokens = {0: [("t", i) for i in range(6)], 9: [("u", i) for i in range(3)]}
-
-        def run(engine):
-            sim = HybridSimulator(g, ModelConfig.hybrid(), seed=0)
-            return NaiveGlobalBroadcast(sim, tokens, engine=engine).run()
-
-        batch, legacy = run("batch"), run("legacy")
-        assert batch.known_tokens == legacy.known_tokens
-        assert batch.metrics.summary() == legacy.metrics.summary()
-        assert batch.all_nodes_know_all_tokens()
-
-    def test_rejects_unknown_engine(self):
-        sim = HybridSimulator(path_graph(4), ModelConfig.hybrid(), seed=0)
-        with pytest.raises(ValueError):
-            NaiveGlobalBroadcast(sim, {0: ["x"]}, engine="bogus")
+        sim = HybridSimulator(g, ModelConfig.hybrid(), seed=0)
+        triples = [
+            (node, receiver, token)
+            for node in sorted(tokens, key=str)
+            for token in tokens[node]
+            for receiver in sim.nodes
+            if receiver != node
+        ]
+        expected = expected_exchange(sim.global_budget_words(), triples, "naive")
+        outcome = NaiveGlobalBroadcast(sim, tokens).run()
+        assert outcome.all_nodes_know_all_tokens()
+        assert (
+            sim.metrics.measured_rounds,
+            sim.metrics.global_messages,
+            sim.metrics.global_words,
+        ) == (expected.rounds, expected.messages, expected.words)
 
 
 class TestSqrtNSkeletonAPSP:

@@ -3,10 +3,10 @@
 In strict mode (the default, used everywhere the paper claims a budget holds)
 capacity overruns raise; with ``strict=False`` they must be *counted* in
 ``RoundMetrics.capacity_violations`` while the traffic is still delivered —
-and the count must be identical whichever send path (tuple or id-native
-plane) or engine (batch / batch-reference / legacy) carried the messages,
-including the oversized-message branches where a single token exceeds the
-whole per-node or per-edge budget.
+and the count must be identical whichever capacity counters carried the
+messages (one bulk plane, swept as dense arrays, or small plane shards,
+swept as per-node dict counters), including the oversized-message branches
+where a single token exceeds the whole per-node or per-edge budget.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import pytest
 
 from repro.graphs.generators import path_graph
 from repro.simulator.config import ModelConfig
-from repro.simulator.engine import ENGINES, BatchAlgorithm
+from repro.simulator.engine import BatchAlgorithm, TokenPlane
 from repro.simulator.errors import (
     CapacityExceededError,
     LocalBandwidthExceededError,
 )
 from repro.simulator.faults import CapacityDegradation, FaultSchedule
-from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
+from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
+from schedule_oracle import expected_exchange
 
 
 def _overflow_workload(sim):
@@ -33,6 +34,18 @@ def _overflow_workload(sim):
     return [0] * count, receivers, ["x"] * count
 
 
+def _send_global(sim, senders, receivers, payloads, path):
+    """Queue one round of global traffic as one bulk plane, or as shards
+    below the simulator's small-shard cutoff (per-node dict counters)."""
+    plane = TokenPlane(senders, receivers, [payload_words(p) for p in payloads], payloads)
+    if path == "bulk":
+        sim.global_send_plane(plane)
+        return
+    step = HybridSimulator._SMALL_SHARD // 2
+    for start in range(0, len(payloads), step):
+        sim.global_send_plane(plane, list(range(start, min(start + step, len(payloads)))))
+
+
 # ----------------------------------------------------------------------
 # Send-side overflow: counted through both send paths, raised in strict
 # ----------------------------------------------------------------------
@@ -40,24 +53,20 @@ def test_send_overflow_counted_identically_through_both_paths():
     graph = path_graph(12)
     config = ModelConfig.hybrid(strict=False)
 
-    plane_sim = HybridSimulator(graph, config, seed=0)
-    senders, receivers, payloads = _overflow_workload(plane_sim)
-    plane_sim.global_send_batch_ids(senders, receivers, payloads)
-    plane_sim.advance_round()
+    bulk_sim = HybridSimulator(graph, config, seed=0)
+    senders, receivers, payloads = _overflow_workload(bulk_sim)
+    _send_global(bulk_sim, senders, receivers, payloads, "bulk")
+    bulk_sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, config, seed=0)
-    nodes = tuple_sim.nodes
-    tuple_sim.global_send_batch(
-        (nodes[senders[i]], nodes[receivers[i]], payloads[i])
-        for i in range(len(payloads))
-    )
-    tuple_sim.advance_round()
+    shard_sim = HybridSimulator(graph, config, seed=0)
+    _send_global(shard_sim, senders, receivers, payloads, "small-shards")
+    shard_sim.advance_round()
 
-    assert plane_sim.metrics.capacity_violations == 1
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+    assert bulk_sim.metrics.capacity_violations == 1
+    assert bulk_sim.metrics.summary() == shard_sim.metrics.summary()
     # Degraded mode still delivers everything.
-    assert plane_sim.per_node_inbox(GLOBAL_MODE) == tuple_sim.per_node_inbox(GLOBAL_MODE)
-    assert sum(len(v) for v in plane_sim.per_node_inbox(GLOBAL_MODE).values()) == len(payloads)
+    assert bulk_sim.per_node_inbox(GLOBAL_MODE) == shard_sim.per_node_inbox(GLOBAL_MODE)
+    assert sum(len(v) for v in bulk_sim.per_node_inbox(GLOBAL_MODE).values()) == len(payloads)
 
 
 def _multi_offender_workload(sim, side):
@@ -86,14 +95,7 @@ def _strict_overflow_message(path, workload, schedule):
         sim.enforce_receive_capacity = workload == "multi-receiver"
         side = "sent" if workload == "multi-sender" else "received"
         senders, receivers, payloads = _multi_offender_workload(sim, side)
-    if path == "plane":
-        sim.global_send_batch_ids(senders, receivers, payloads)
-    else:
-        nodes = sim.nodes
-        sim.global_send_batch(
-            (nodes[senders[i]], nodes[receivers[i]], payloads[i])
-            for i in range(len(payloads))
-        )
+    _send_global(sim, senders, receivers, payloads, path)
     with pytest.raises(CapacityExceededError) as excinfo:
         sim.advance_round()
     return str(excinfo.value)
@@ -105,20 +107,20 @@ def _strict_overflow_message(path, workload, schedule):
     [("single-sender", "sent"), ("multi-sender", "sent"), ("multi-receiver", "received")],
 )
 def test_send_overflow_raises_in_strict_mode(workload, verb, degraded):
-    # Both send paths raise and name the same node: the lowest-index
+    # Both counter paths raise and name the same node: the lowest-index
     # offender, whichever capacity sweep (array or per-node) ran.  A
-    # node-scoped degradation moves plane rounds onto the per-node sweep too
+    # node-scoped degradation moves bulk rounds onto the per-node sweep too
     # and makes node 1 the lowest offender.
     schedule = (
         FaultSchedule(degradations=(CapacityDegradation(0.5, node=1),))
         if degraded
         else None
     )
-    plane_message = _strict_overflow_message("plane", workload, schedule)
-    tuple_message = _strict_overflow_message("tuple", workload, schedule)
-    assert plane_message == tuple_message
+    bulk_message = _strict_overflow_message("bulk", workload, schedule)
+    shard_message = _strict_overflow_message("small-shards", workload, schedule)
+    assert bulk_message == shard_message
     offender = 0 if workload == "single-sender" else 1 if degraded else 4
-    assert plane_message.startswith(f"node {offender} {verb} ")
+    assert bulk_message.startswith(f"node {offender} {verb} ")
 
 
 # ----------------------------------------------------------------------
@@ -132,18 +134,18 @@ def test_receive_overflow_is_recorded_identically(strict):
     count = budget + 4
     senders = list(range(1, count + 1))
 
-    plane_sim = HybridSimulator(graph, config, seed=1)
-    plane_sim.global_send_batch_ids(senders, [0] * count, ["y"] * count)
-    plane_sim.advance_round()
+    bulk_sim = HybridSimulator(graph, config, seed=1)
+    _send_global(bulk_sim, senders, [0] * count, ["y"] * count, "bulk")
+    bulk_sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, config, seed=1)
-    tuple_sim.global_send_batch((s, 0, "y") for s in senders)
-    tuple_sim.advance_round()
+    shard_sim = HybridSimulator(graph, config, seed=1)
+    _send_global(shard_sim, senders, [0] * count, ["y"] * count, "small-shards")
+    shard_sim.advance_round()
 
     # Receive overload raises only under enforce_receive_capacity; by default
     # both strictness modes just count it — one violation, same summary.
-    assert plane_sim.metrics.capacity_violations == 1
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+    assert bulk_sim.metrics.capacity_violations == 1
+    assert bulk_sim.metrics.summary() == shard_sim.metrics.summary()
 
     enforcing = HybridSimulator(graph, config, seed=1)
     enforcing.enforce_receive_capacity = True
@@ -159,46 +161,42 @@ def test_receive_overflow_is_recorded_identically(strict):
 # ----------------------------------------------------------------------
 # Local oversized-message branch (finite lambda)
 # ----------------------------------------------------------------------
-def test_local_oversized_counted_identically_through_both_paths():
+def test_local_oversized_is_counted_and_delivered(backend):
     graph = path_graph(8)
     config = ModelConfig.congest(strict=False)
     limit = config.resolve_local_word_limit()
     assert limit is not None
     payload = "z" * (8 * (limit + 2))  # > limit words
 
-    plane_sim = HybridSimulator(graph, config, seed=0)
-    plane_sim.local_send_batch_ids([0, 1], [1, 2], [payload, payload])
-    plane_sim.advance_round()
+    sim = HybridSimulator(graph, config, seed=0)
+    sim.local_send_batch_ids([0, 1], [1, 2], [payload, payload])
+    sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, config, seed=0)
-    tuple_sim.local_send_batch([(0, 1, payload), (1, 2, payload)])
-    tuple_sim.advance_round()
+    words = payload_words(payload)
+    assert sim.metrics.capacity_violations == 2
+    assert (sim.metrics.local_messages, sim.metrics.local_words) == (2, 2 * words)
+    assert sim.per_node_inbox(LOCAL_MODE) == {
+        1: [(0, payload, None, words)],
+        2: [(1, payload, None, words)],
+    }
 
-    assert plane_sim.metrics.capacity_violations == 2
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
-    assert plane_sim.per_node_inbox(LOCAL_MODE) == tuple_sim.per_node_inbox(LOCAL_MODE)
 
-
-@pytest.mark.parametrize("path", ["plane", "tuple"])
-def test_local_oversized_raises_in_strict_mode(path):
+def test_local_oversized_raises_in_strict_mode(backend):
     config = ModelConfig.congest()
     sim = HybridSimulator(path_graph(8), config, seed=0)
     payload = "z" * (8 * (config.resolve_local_word_limit() + 2))
     with pytest.raises(LocalBandwidthExceededError):
-        if path == "plane":
-            sim.local_send_batch_ids([0], [1], [payload])
-        else:
-            sim.local_send_batch([(0, 1, payload)])
+        sim.local_send_batch_ids([0], [1], [payload])
 
 
 # ----------------------------------------------------------------------
-# Engine agreement: oversized global tokens through the full exchange
+# Oversized global tokens through the full exchange
 # ----------------------------------------------------------------------
 class _OversizedExchange(BatchAlgorithm):
     """One-phase algorithm pushing a workload with oversized tokens."""
 
-    def __init__(self, simulator, triples, engine):
-        super().__init__(simulator, engine=engine)
+    def __init__(self, simulator, triples):
+        super().__init__(simulator)
         self.triples = triples
         self.delivered = None
 
@@ -212,8 +210,7 @@ class _OversizedExchange(BatchAlgorithm):
         return self.delivered
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_exchange_engines_agree_in_degraded_mode(engine):
+def test_exchange_matches_the_reference_schedule_in_degraded_mode(backend):
     graph = path_graph(16)
     config = ModelConfig.hybrid(strict=False)
     budget = HybridSimulator(graph, config).global_budget_words()
@@ -223,22 +220,12 @@ def test_exchange_engines_agree_in_degraded_mode(engine):
     triples.append((6, 10, oversized))
 
     sim = HybridSimulator(graph, config, seed=2)
-    delivered = _OversizedExchange(sim, triples, engine).run()
+    expected = expected_exchange(budget, triples, "dm")
+    delivered = _OversizedExchange(sim, triples).run()
+    expected.assert_matches(delivered, sim.metrics)
     assert delivered[9].count(oversized) == 1
     assert delivered[10].count(oversized) == 1
-    summary = sim.metrics.summary()
-    assert summary["capacity_violations"] > 0
-    key = (
-        summary["measured_rounds"],
-        summary["global_messages"],
-        summary["global_words"],
-        summary["capacity_violations"],
-    )
-    pinned = getattr(test_exchange_engines_agree_in_degraded_mode, "_pin", None)
-    if pinned is None:
-        test_exchange_engines_agree_in_degraded_mode._pin = key
-    else:
-        assert key == pinned, f"engine={engine} drifted in degraded mode: {key} != {pinned}"
+    assert sim.metrics.capacity_violations > 0
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ from repro.core.dissemination import (
     KDissemination,
     build_cluster_tree,
     match_cluster_tree_ids,
-    rank_matched_transfers,
+    rank_matched_indices,
+    rank_matched_triples,
 )
 from repro.core.clustering import nq_clustering
 from repro.core.neighborhood_quality import neighborhood_quality
@@ -77,20 +78,30 @@ class TestClusterTree:
                 assert sim.knows_id(member, sim.id_of(counterpart))
                 assert sim.knows_id(counterpart, sim.id_of(member))
 
-    def test_rank_matched_transfers_only_use_matched_pairs(self):
+    def test_rank_matched_triples_only_use_matched_pairs(self):
         g = grid_graph(5, 2)
         sim = HybridSimulator(g, ModelConfig.hybrid0(), seed=0)
         clustering = nq_clustering(g, 12, id_of=sim.id_of)
         assert len(clustering.clusters) >= 2
         source, target = clustering.clusters[0], clustering.clusters[1]
         payloads = [("p", i) for i in range(17)]
-        transfers = rank_matched_transfers(sim, source, target, payloads, "t")
-        assert len(transfers) == 17
         source_members = sorted(source.members, key=sim.id_of)
         target_members = sorted(target.members, key=sim.id_of)
-        for transfer in transfers:
-            rank = source_members.index(transfer.sender)
-            assert transfer.receiver == target_members[rank % len(target_members)]
+        triples = rank_matched_triples(source_members, target_members, payloads)
+        assert [payload for _, _, payload in triples] == payloads
+        for sender, receiver, _ in triples:
+            rank = source_members.index(sender)
+            assert receiver == target_members[rank % len(target_members)]
+        # The id-native twin yields the same pairs as index columns.
+        indexer = sim.node_indexer()
+        senders, receivers = rank_matched_indices(
+            [indexer[v] for v in source_members],
+            [indexer[v] for v in target_members],
+            len(payloads),
+        )
+        assert list(zip(senders, receivers)) == [
+            (indexer[sender], indexer[receiver]) for sender, receiver, _ in triples
+        ]
 
 
 class TestKDissemination:

@@ -50,7 +50,7 @@ def test_knowledge_survives_edge_removal():
     sim.invalidate_index()
     assert _neighbour_knowledge(sim, [(2, 3), (3, 2)]) == {(2, 3): True, (3, 2): True}
     # A global send along the removed edge still validates.
-    sim.global_send(2, sim.id_of(3), "still known")
+    sim.global_send_batch_ids([2], [3], ["still known"])
     sim.advance_round()
     assert sim.global_inbox(3)[0].payload == "still known"
 
@@ -62,9 +62,9 @@ def test_new_edge_teaches_nothing():
     sim.invalidate_index()
     assert _neighbour_knowledge(sim, [(0, 5), (5, 0)]) == {(0, 5): False, (5, 0): False}
     with pytest.raises(UnknownIdentifierError):
-        sim.global_send(0, sim.id_of(5), "unknown")
+        sim.global_send_batch_ids([0], [5], ["unknown"])
     # The local mode does use the new edge.
-    sim.local_send(0, 5, "local")
+    sim.local_send_batch_ids([0], [5], ["local"])
     sim.advance_round()
     assert sim.local_inbox(5)[0].payload == "local"
 

@@ -1,5 +1,5 @@
 """Unit tests for virtual-tree overlays (Lemmas 4.3-4.6), load balancing
-(Lemma 4.1) and the throttled global transport."""
+(Lemma 4.1) and the throttled global exchange."""
 
 import math
 
@@ -14,11 +14,11 @@ from repro.core.overlay import (
     build_virtual_tree,
     build_virtual_tree_on_subset,
 )
-from repro.core.transport import GlobalTransfer, throttled_global_exchange
 from repro.graphs.generators import grid_graph, path_graph
 from repro.simulator.config import ModelConfig, log2_ceil
 from repro.simulator.engine import TokenPlane, batched_global_exchange, plan_token_rounds
 from repro.simulator.network import HybridSimulator
+from schedule_oracle import expected_exchange
 
 
 def make_sim(graph=None, hybrid0=True, seed=0, **kwargs):
@@ -178,24 +178,22 @@ class TestLoadBalancing:
 
 
 class TestThrottledTransport:
+    """:func:`batched_global_exchange` against the reference schedule."""
+
     def test_all_transfers_delivered(self):
         sim = make_sim(hybrid0=False)
-        transfers = [
-            GlobalTransfer(sender=0, receiver=v, payload=("x", v), tag="t")
-            for v in sim.nodes
-            if v != 0
-        ]
-        delivered = throttled_global_exchange(sim, transfers)
-        assert sum(len(v) for v in delivered.values()) == len(transfers)
+        triples = [(0, v, ("x", v)) for v in sim.nodes if v != 0]
+        expected = expected_exchange(sim.global_budget_words(), triples, "t")
+        delivered = batched_global_exchange(sim, triples, tag="t")
+        expected.assert_matches(delivered, sim.metrics)
+        assert sum(len(v) for v in delivered.values()) == len(triples)
 
     def test_schedule_respects_send_budget(self):
         sim = make_sim(hybrid0=False)
         budget = sim.global_budget_words()
-        transfers = [
-            GlobalTransfer(sender=0, receiver=(v % (sim.n - 1)) + 1, payload=i)
-            for i, v in enumerate(range(4 * budget))
-        ]
-        throttled_global_exchange(sim, transfers)
+        triples = [(0, (v % (sim.n - 1)) + 1, i) for i, v in enumerate(range(4 * budget))]
+        expected = expected_exchange(budget, triples)
+        expected.assert_matches(batched_global_exchange(sim, triples), sim.metrics)
         assert sim.metrics.capacity_violations == 0
         # One sender with 4x budget worth of single-word messages needs >= 4 rounds.
         assert sim.metrics.measured_rounds >= 4
@@ -203,27 +201,22 @@ class TestThrottledTransport:
     def test_schedule_respects_receive_budget(self):
         sim = make_sim(hybrid0=False)
         budget = sim.global_budget_words()
-        transfers = [
-            GlobalTransfer(sender=s, receiver=0, payload=1)
-            for s in sim.nodes
-            if s != 0
-            for _ in range(2)
-        ]
-        throttled_global_exchange(sim, transfers)
+        triples = [(s, 0, 1) for s in sim.nodes if s != 0 for _ in range(2)]
+        expected = expected_exchange(budget, triples)
+        expected.assert_matches(batched_global_exchange(sim, triples), sim.metrics)
         assert sim.metrics.capacity_violations == 0
-        assert sim.metrics.measured_rounds >= math.ceil(len(transfers) / budget)
+        assert sim.metrics.measured_rounds >= math.ceil(len(triples) / budget)
 
     def test_empty_transfer_list(self):
         sim = make_sim(hybrid0=False)
-        assert throttled_global_exchange(sim, []) == {}
         assert batched_global_exchange(sim, []) == {}
         assert plan_token_rounds(TokenPlane([], [], []), sim.global_budget_words()) == []
         assert sim.metrics.measured_rounds == 0
 
     def test_max_rounds_guard(self):
         sim = make_sim(hybrid0=False)
-        transfers = [
-            GlobalTransfer(sender=0, receiver=1, payload=i) for i in range(200)
-        ]
+        triples = [(0, 1, i) for i in range(200)]
         with pytest.raises(RuntimeError):
-            throttled_global_exchange(sim, transfers, max_rounds=1)
+            batched_global_exchange(sim, triples, max_rounds=1)
+        # The allowed round ran before the overflow was reported.
+        assert sim.metrics.measured_rounds == 1

@@ -1,10 +1,10 @@
 """Round-count regression pins for the batch-migrated algorithms.
 
-The batch messaging engine must not change algorithm *behavior* — only how
-fast the simulation executes.  These tests pin the exact round counts of
-``KDissemination`` and ``ApproxSSSP`` on fixed seeded instances, for both the
-batch and the legacy engine, so any scheduling drift in a future refactor
-fails loudly instead of silently shifting the paper's reproduced numbers.
+The round engine must not change algorithm *behavior* — only how fast the
+simulation executes.  These tests pin the exact round counts of
+``KDissemination`` and ``ApproxSSSP`` on fixed seeded instances, so any
+scheduling drift in a future refactor fails loudly instead of silently
+shifting the paper's reproduced numbers.
 
 If a change *intentionally* alters round counts (e.g. a different cluster-tree
 shape), update the pinned constants and say so in the commit message.
@@ -31,20 +31,10 @@ DISSEMINATION_PINS = {
 }
 
 # (label, k, seed) -> (nq, measured_rounds, total_rounds, local_messages).
-# nq/measured/total are pinned for BOTH engines — the frontier rewrite must
-# not move them.  local_messages coincide here because no node's ball
-# saturates before the global termination on these instances; on saturating
-# instances the frontier engine sends strictly fewer (see
-# test_distributed_nq_engines_agree_exactly).
 NQ_PINS = {
     ("path48", 24, 11): (5, 5, 101, 470),
     ("grid7", 16, 5): (3, 3, 75, 504),
 }
-
-# A saturating instance: k >> n forces exploration to the diameter, so
-# interior nodes exhaust their balls early and the frontier engine goes
-# quiet on them while the legacy engine keeps re-broadcasting.
-NQ_EQUIVALENCE_CASES = sorted(NQ_PINS) + [("path9", 1000, 0)]
 
 # (label, epsilon, seed) -> (measured_rounds, total_rounds)
 SSSP_PINS = {
@@ -54,9 +44,9 @@ SSSP_PINS = {
 
 # The shortest-paths stack (PR 3): the schedule-identical guarantee of the
 # batch migration.  Each pin is (measured_rounds, total_rounds,
-# global_messages) and must hold for BOTH engines — the Theorem 1 broadcasts
-# inside these algorithms are physically simulated KDissemination instances,
-# so any scheduling drift in the batch engine shows up here first.
+# global_messages) — the Theorem 1 broadcasts inside these algorithms are
+# physically simulated KDissemination instances, so any scheduling drift in
+# the round engine shows up here first.
 #
 # (label, epsilon, seed) -> pin
 APSP_PINS = {
@@ -102,14 +92,13 @@ def _scatter(graph, k, seed):
     return tokens
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("pin", sorted(DISSEMINATION_PINS), ids=lambda p: f"{p[0]}-k{p[1]}")
-def test_dissemination_round_counts_are_pinned(pin, engine):
+def test_dissemination_round_counts_are_pinned(pin):
     label, k, seed = pin
     graph = GRAPHS[label]()
     tokens = _scatter(graph, k, seed)
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = KDissemination(sim, tokens, engine=engine).run()
+    result = KDissemination(sim, tokens).run()
     expected = DISSEMINATION_PINS[pin]
     actual = (
         result.metrics.measured_rounds,
@@ -117,32 +106,30 @@ def test_dissemination_round_counts_are_pinned(pin, engine):
         result.metrics.global_messages,
     )
     assert actual == expected, (
-        f"{label} k={k} seed={seed} engine={engine}: rounds/messages {actual} "
+        f"{label} k={k} seed={seed}: rounds/messages {actual} "
         f"drifted from the pinned {expected}"
     )
     assert result.metrics.capacity_violations == 0
     assert result.all_nodes_know_all_tokens()
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("pin", sorted(SSSP_PINS), ids=lambda p: f"{p[0]}-eps{p[1]}")
-def test_sssp_round_counts_are_pinned(pin, engine):
+def test_sssp_round_counts_are_pinned(pin):
     label, epsilon, seed = pin
     graph = GRAPHS[label]()
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = ApproxSSSP(sim, 0, epsilon=epsilon, engine=engine).run()
+    result = ApproxSSSP(sim, 0, epsilon=epsilon).run()
     expected = SSSP_PINS[pin]
     actual = (result.metrics.measured_rounds, result.metrics.total_rounds)
     assert actual == expected
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("pin", sorted(NQ_PINS), ids=lambda p: f"{p[0]}-k{p[1]}")
-def test_distributed_nq_round_counts_are_pinned(pin, engine):
+def test_distributed_nq_round_counts_are_pinned(pin):
     label, k, seed = pin
     graph = GRAPHS[label]()
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = DistributedNQComputation(sim, k, engine=engine).run()
+    result = DistributedNQComputation(sim, k).run()
     expected = NQ_PINS[pin]
     actual = (
         result.nq,
@@ -151,49 +138,9 @@ def test_distributed_nq_round_counts_are_pinned(pin, engine):
         result.metrics.local_messages,
     )
     assert actual == expected, (
-        f"{label} k={k} seed={seed} engine={engine}: NQ rounds/messages {actual} "
+        f"{label} k={k} seed={seed}: NQ rounds/messages {actual} "
         f"drifted from the pinned {expected}"
     )
-
-
-@pytest.mark.parametrize("pin", NQ_EQUIVALENCE_CASES, ids=lambda p: f"{p[0]}-k{p[1]}")
-def test_distributed_nq_engines_agree_exactly(pin):
-    """Frontier and whole-ball flooding produce identical results and rounds."""
-    label, k, seed = pin
-    graph = GRAPHS[label]()
-
-    def run(engine):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return DistributedNQComputation(sim, k, engine=engine).run()
-
-    batch, legacy = run("batch"), run("legacy")
-    assert batch.nq == legacy.nq
-    assert batch.per_node == legacy.per_node
-    batch_summary = batch.metrics.summary()
-    legacy_summary = legacy.metrics.summary()
-    # Traffic volume may only shrink: the frontier engine never re-broadcasts
-    # known ball members (fewer words) and skips saturated nodes entirely
-    # (fewer messages).  Everything else — rounds, charges, global traffic —
-    # must coincide exactly.
-    assert batch_summary.pop("local_words") <= legacy_summary.pop("local_words")
-    assert batch_summary.pop("local_messages") <= legacy_summary.pop("local_messages")
-    assert batch_summary == legacy_summary
-
-
-@pytest.mark.parametrize("pin", sorted(DISSEMINATION_PINS), ids=lambda p: f"{p[0]}-k{p[1]}")
-def test_batch_and_legacy_engines_agree_exactly(pin):
-    """Beyond the pins: the two engines agree on the full metrics summary."""
-    label, k, seed = pin
-    graph = GRAPHS[label]()
-    tokens = _scatter(graph, k, seed)
-
-    def run(engine):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return KDissemination(sim, tokens, engine=engine).run()
-
-    batch, legacy = run("batch"), run("legacy")
-    assert batch.metrics.summary() == legacy.metrics.summary()
-    assert batch.known_tokens == legacy.known_tokens
 
 
 # ----------------------------------------------------------------------
@@ -207,25 +154,23 @@ def _metrics_triple(sim):
     )
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("pin", sorted(APSP_PINS), ids=lambda p: f"{p[0]}-eps{p[1]}")
-def test_apsp_round_counts_are_pinned(pin, engine):
+def test_apsp_round_counts_are_pinned(pin):
     label, epsilon, seed = pin
     graph = GRAPHS[label]()
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    UnweightedApproxAPSP(sim, epsilon=epsilon, engine=engine).run()
+    UnweightedApproxAPSP(sim, epsilon=epsilon).run()
     assert _metrics_triple(sim) == APSP_PINS[pin], (
-        f"{label} eps={epsilon} engine={engine}: APSP rounds/messages "
+        f"{label} eps={epsilon}: APSP rounds/messages "
         f"{_metrics_triple(sim)} drifted from the pinned {APSP_PINS[pin]}"
     )
     assert sim.metrics.capacity_violations == 0
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize(
     "pin", sorted(KSP_PINS), ids=lambda p: f"{p[0]}-{'skel' if p[1] else 'arb'}"
 )
-def test_ksp_round_counts_are_pinned(pin, engine):
+def test_ksp_round_counts_are_pinned(pin):
     label, in_skeleton, seed = pin
     graph = GRAPHS[label]()
     nodes = sorted(graph.nodes)
@@ -237,60 +182,41 @@ def test_ksp_round_counts_are_pinned(pin, engine):
         epsilon=0.25,
         sources_in_skeleton=in_skeleton,
         seed=seed,
-        engine=engine,
     ).run()
     assert _metrics_triple(sim) == KSP_PINS[pin], (
-        f"{label} in_skeleton={in_skeleton} engine={engine}: k-SP rounds "
+        f"{label} in_skeleton={in_skeleton}: k-SP rounds "
         f"{_metrics_triple(sim)} drifted from the pinned {KSP_PINS[pin]}"
     )
     assert sim.metrics.capacity_violations == 0
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("pin", sorted(BCC_PINS), ids=lambda p: f"{p[0]}-r{p[1]}")
-def test_bcc_broadcast_round_counts_are_pinned(pin, engine):
+def test_bcc_broadcast_round_counts_are_pinned(pin):
     label, bcc_rounds, seed = pin
     graph = GRAPHS[label]()
     schedule = [
         {v: (f"round{i}", v) for v in graph.nodes} for i in range(bcc_rounds)
     ]
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = BCCBroadcast(sim, schedule, engine=engine).run()
+    result = BCCBroadcast(sim, schedule).run()
     assert result.all_rounds_complete()
     assert _metrics_triple(sim) == BCC_PINS[pin], (
-        f"{label} rounds={bcc_rounds} engine={engine}: BCC rounds "
+        f"{label} rounds={bcc_rounds}: BCC rounds "
         f"{_metrics_triple(sim)} drifted from the pinned {BCC_PINS[pin]}"
     )
 
 
-@pytest.mark.parametrize("engine", ["batch", "legacy"])
 @pytest.mark.parametrize("pin", sorted(KLSP_PINS), ids=lambda p: f"{p[0]}-eps{p[1]}")
-def test_klsp_round_counts_are_pinned(pin, engine):
+def test_klsp_round_counts_are_pinned(pin):
     label, epsilon, seed = pin
     graph = GRAPHS[label]()
     nodes = sorted(graph.nodes)
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
     KLShortestPaths(
-        sim, nodes[:6], nodes[-8:], epsilon=epsilon, seed=seed, engine=engine
+        sim, nodes[:6], nodes[-8:], epsilon=epsilon, seed=seed
     ).run()
     assert _metrics_triple(sim) == KLSP_PINS[pin], (
-        f"{label} eps={epsilon} engine={engine}: (k,l)-SP rounds "
+        f"{label} eps={epsilon}: (k,l)-SP rounds "
         f"{_metrics_triple(sim)} drifted from the pinned {KLSP_PINS[pin]}"
     )
     assert sim.metrics.capacity_violations == 0
-
-
-@pytest.mark.parametrize("pin", sorted(APSP_PINS), ids=lambda p: f"{p[0]}-eps{p[1]}")
-def test_apsp_engines_agree_exactly(pin):
-    """Beyond the pins: both engines agree on the full metrics summary and on
-    every materialised estimate."""
-    label, epsilon, seed = pin
-    graph = GRAPHS[label]()
-
-    def run(engine):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return UnweightedApproxAPSP(sim, epsilon=epsilon, engine=engine).run()
-
-    batch, legacy = run("batch"), run("legacy")
-    assert batch.metrics.summary() == legacy.metrics.summary()
-    assert batch.estimates == legacy.estimates

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.graphs.generators import path_graph, grid_graph, complete_graph
+from repro.graphs.generators import path_graph, complete_graph
 from repro.graphs.weighted import assign_uniform_weights
 from repro.simulator.config import IdentifierRegime, ModelConfig, log2_ceil, word_bits
 from repro.simulator.errors import (
@@ -122,18 +122,6 @@ class TestKnowledgeTracker:
         tracker = KnowledgeTracker([1])
         with pytest.raises(UnknownNodeError):
             tracker.knows(99, 1)
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Build trackers under both array backends."""
-    from repro.simulator import _accel
-
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 class TestKnowledgeStore:
@@ -325,7 +313,7 @@ class TestSimulatorBasics:
 class TestLocalMode:
     def test_local_send_delivers_next_round(self):
         sim = HybridSimulator(path_graph(3))
-        sim.local_send(0, 1, "hello")
+        sim.local_send_batch_ids([0], [1], ["hello"])
         sim.advance_round()
         inbox = sim.local_inbox(1)
         assert len(inbox) == 1
@@ -335,29 +323,22 @@ class TestLocalMode:
     def test_local_send_requires_edge(self):
         sim = HybridSimulator(path_graph(3))
         with pytest.raises(NotANeighborError):
-            sim.local_send(0, 2, "nope")
-
-    def test_local_broadcast_reaches_all_neighbors(self):
-        sim = HybridSimulator(grid_graph(3, 2))
-        sim.local_broadcast(4, "x")  # the grid centre has 4 neighbors
-        sim.advance_round()
-        receivers = [v for v in sim.nodes if sim.local_inbox(v)]
-        assert len(receivers) == 4
+            sim.local_send_batch_ids([0], [2], ["nope"])
 
     def test_local_mode_disabled_in_ncc(self):
         sim = HybridSimulator(path_graph(3), ModelConfig.ncc())
         with pytest.raises(LocalBandwidthExceededError):
-            sim.local_send(0, 1, "x")
+            sim.local_send_batch_ids([0], [1], ["x"])
 
     def test_congest_local_bandwidth_enforced(self):
         sim = HybridSimulator(path_graph(3), ModelConfig.congest())
-        sim.local_send(0, 1, 5)  # one word is fine
+        sim.local_send_batch_ids([0], [1], [5])  # one word is fine
         with pytest.raises(LocalBandwidthExceededError):
-            sim.local_send(0, 1, tuple(range(50)))
+            sim.local_send_batch_ids([0], [1], [tuple(range(50))])
 
     def test_local_messages_unbounded_in_hybrid(self):
         sim = HybridSimulator(path_graph(3), ModelConfig.hybrid())
-        sim.local_send(0, 1, tuple(range(1000)))  # arbitrarily large is legal
+        sim.local_send_batch_ids([0], [1], [tuple(range(1000))])  # arbitrarily large is legal
         sim.advance_round()
         assert sim.local_inbox(1)[0].payload == tuple(range(1000))
 
@@ -365,19 +346,18 @@ class TestLocalMode:
 class TestGlobalMode:
     def test_global_send_any_pair_in_hybrid(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-        sim.global_send(0, 5, "far away")
+        sim.global_send_batch_ids([0], [5], ["far away"])
         sim.advance_round()
         assert sim.global_inbox(5)[0].payload == "far away"
 
     def test_global_send_unknown_identifier_in_hybrid0(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
-        far_id = sim.id_of(5)
         with pytest.raises(UnknownIdentifierError):
-            sim.global_send(0, far_id, "nope")
+            sim.global_send_batch_ids([0], [5], ["nope"])
 
     def test_global_send_to_neighbor_allowed_in_hybrid0(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
-        sim.global_send(0, sim.id_of(1), "ok")
+        sim.global_send_batch_ids([0], [1], ["ok"])
         sim.advance_round()
         assert sim.global_inbox(1)[0].payload == "ok"
 
@@ -387,10 +367,10 @@ class TestGlobalMode:
         # but 1 -> 3 is not; teach 1 about 3 explicitly, then 3 learns 1's id by
         # receiving and can reply.
         sim.declare_learned_ids(1, [sim.id_of(3)])
-        sim.global_send(1, sim.id_of(3), "ping")
+        sim.global_send_batch_ids([1], [3], ["ping"])
         sim.advance_round()
         assert sim.knows_id(3, sim.id_of(1))
-        sim.global_send(3, sim.id_of(1), "pong")
+        sim.global_send_batch_ids([3], [1], ["pong"])
         sim.advance_round()
         assert sim.global_inbox(1)[0].payload == "pong"
 
@@ -432,13 +412,13 @@ class TestGlobalMode:
     def test_global_mode_disabled_in_local_model(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.local())
         with pytest.raises(CapacityExceededError):
-            sim.global_send(0, 2, "x")
+            sim.global_send_batch_ids([0], [2], ["x"])
 
     def test_send_capacity_enforced(self):
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
         for target in range(1, budget + 2):
-            sim.global_send(0, target, 1)
+            sim.global_send_batch_ids([0], [target], [1])
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
@@ -446,16 +426,15 @@ class TestGlobalMode:
     def test_send_within_capacity_passes(self):
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
-        for target in range(1, budget + 1):
-            sim.global_send(0, target, 1)
+        sim.global_send_batch_ids([0] * budget, list(range(1, budget + 1)), [1] * budget)
         sim.advance_round()
         assert sim.metrics.capacity_violations == 0
 
     def test_receive_overload_recorded_but_not_fatal_by_default(self):
         sim = HybridSimulator(complete_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
-        for sender in range(1, budget + 5):
-            sim.global_send(sender, 0, 1)
+        senders = list(range(1, budget + 5))
+        sim.global_send_batch_ids(senders, [0] * len(senders), [1] * len(senders))
         sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
         assert len(sim.global_inbox(0)) == budget + 4
@@ -466,7 +445,7 @@ class TestGlobalMode:
         )
         budget = sim.global_budget_words()
         for sender in range(1, budget + 5):
-            sim.global_send(sender, 0, 1)
+            sim.global_send_batch_ids([sender], [0], [1])
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
 
@@ -506,9 +485,9 @@ class TestNodeOrdering:
 
 
 class TestBatchSending:
-    def test_local_send_batch_delivers_prebucketed(self):
+    def test_local_send_batch_ids_delivers_prebucketed(self):
         sim = HybridSimulator(path_graph(4))
-        queued = sim.local_send_batch([(0, 1, "a"), (2, 1, "b"), (2, 3, "c")])
+        queued = sim.local_send_batch_ids([0, 2, 2], [1, 1, 3], ["a", "b", "c"])
         assert queued == 3
         sim.advance_round()
         inbox = sim.per_node_inbox(LOCAL_MODE)
@@ -516,17 +495,9 @@ class TestBatchSending:
         assert [record[1] for record in inbox[3]] == ["c"]
         assert 0 not in inbox
 
-    def test_global_send_batch_by_node_and_by_id(self):
-        sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 5, "x")])
-        sim.global_send_batch([(1, sim.id_of(4), "y")], by_id=True)
-        sim.advance_round()
-        assert sim.global_inbox(5)[0].payload == "x"
-        assert sim.global_inbox(4)[0].payload == "y"
-
     def test_batch_records_carry_sender_tag_and_words(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 2, (1, 2, 3))], tag="t")
+        sim.global_send_batch_ids([0], [2], [(1, 2, 3)], tag="t")
         sim.advance_round()
         ((sender, payload, tag, words),) = sim.per_node_inbox(GLOBAL_MODE)[2]
         assert sender == 0
@@ -536,7 +507,7 @@ class TestBatchSending:
 
     def test_precomputed_words_are_trusted(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 2, "payload", 7)])
+        sim.global_send_batch_ids([0], [2], ["payload"], words=[7])
         sim.advance_round()
         assert sim.per_node_inbox(GLOBAL_MODE)[2][0][3] == 7
         assert sim.metrics.global_words == 7
@@ -544,53 +515,32 @@ class TestBatchSending:
     def test_batch_send_validates_edges(self):
         sim = HybridSimulator(path_graph(4))
         with pytest.raises(NotANeighborError):
-            sim.local_send_batch([(0, 1, "ok"), (0, 3, "not adjacent")])
+            sim.local_send_batch_ids([0, 0], [1, 3], ["ok", "not adjacent"])
 
     def test_batch_send_validates_nodes(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
         with pytest.raises(UnknownNodeError):
-            sim.global_send_batch([(0, 99, "nope")])
+            sim.global_send_batch_ids([0], [99], ["nope"])
 
     def test_batch_knowledge_enforced_in_hybrid0(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
         with pytest.raises(UnknownIdentifierError):
-            sim.global_send_batch([(0, 5, "unknown target")])
+            sim.global_send_batch_ids([0], [5], ["unknown target"])
 
     def test_batch_capacity_accounting_matches_per_message(self):
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
-        sim.global_send_batch((0, target, 1) for target in range(1, budget + 2))
+        count = budget + 1
+        sim.global_send_batch_ids([0] * count, list(range(1, count + 1)), [1] * count)
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
-
-    def test_aborted_batch_keeps_metrics_in_sync(self):
-        # A validation error mid-batch leaves earlier records queued; the
-        # aggregate accounting must cover exactly those records.
-        sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        with pytest.raises(UnknownNodeError):
-            sim.local_send_batch([(0, 1, "ok"), (1, 2, "ok2"), (0, 99, "bad")])
-        with pytest.raises(UnknownNodeError):
-            sim.global_send_batch([(0, 3, "ok"), (99, 0, "bad")])
-        sim.advance_round()
-        assert sim.metrics.local_messages == 2
-        assert sim.metrics.global_messages == 1
-        delivered_local = sum(len(r) for r in sim.per_node_inbox(LOCAL_MODE).values())
-        delivered_global = sum(len(r) for r in sim.per_node_inbox(GLOBAL_MODE).values())
-        assert delivered_local == 2
-        assert delivered_global == 1
-        assert sim.metrics.local_words == sum(
-            rec[3] for recs in sim.per_node_inbox(LOCAL_MODE).values() for rec in recs
-        )
-        assert sim.metrics.global_words == sum(
-            rec[3] for recs in sim.per_node_inbox(GLOBAL_MODE).values() for rec in recs
-        )
 
     def test_exchange_does_not_harvest_foreign_traffic(self):
         from repro.simulator.engine import batched_global_exchange
 
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 4, "foreign")], tag="other")
+        sim.global_send_batch_ids([0], [4], ["foreign"], tag="other")
         delivered = batched_global_exchange(sim, [(1, 2, "mine")], tag="x")
         assert delivered == {2: ["mine"]}
         # The foreign message was still delivered in that round, just not
@@ -607,19 +557,6 @@ class TestBatchSending:
         sim.advance_round()
         with pytest.raises(ValueError):
             sim.per_node_inbox("carrier-pigeon")
-
-    def test_legacy_wrappers_and_batch_share_accounting(self):
-        batch_sim = HybridSimulator(path_graph(8), ModelConfig.hybrid())
-        legacy_sim = HybridSimulator(path_graph(8), ModelConfig.hybrid())
-        triples = [(0, 5, ("m", 1)), (1, 5, ("m", 2)), (2, 3, ("m", 3))]
-        batch_sim.global_send_batch(triples, tag="t")
-        for sender, receiver, payload in triples:
-            legacy_sim.global_send_to_node(sender, receiver, payload, tag="t")
-        batch_sim.advance_round()
-        legacy_sim.advance_round()
-        assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
-        for node in batch_sim.nodes:
-            assert batch_sim.global_inbox(node) == legacy_sim.global_inbox(node)
 
 
 class TestRoundLifecycle:
@@ -640,7 +577,7 @@ class TestRoundLifecycle:
 
     def test_inboxes_are_per_round(self):
         sim = HybridSimulator(path_graph(3))
-        sim.local_send(0, 1, "first")
+        sim.local_send_batch_ids([0], [1], ["first"])
         sim.advance_round()
         assert len(sim.local_inbox(1)) == 1
         sim.advance_round()
@@ -654,8 +591,8 @@ class TestRoundLifecycle:
 
     def test_message_accounting(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        sim.local_send(0, 1, "a")
-        sim.global_send(0, 3, "b")
+        sim.local_send_batch_ids([0], [1], ["a"])
+        sim.global_send_batch_ids([0], [3], ["b"])
         sim.advance_round()
         assert sim.metrics.local_messages == 1
         assert sim.metrics.global_messages == 1
