@@ -17,7 +17,9 @@ This module provides
   stop each node's BFS at the radius that certifies its answer, the diameter is
   resolved lazily (only for nodes whose exploration exhausts the graph unmet),
   ``nq_profile`` shares one exploration across all workloads, and graph-level
-  ``NQ_k`` values are memoised per ``(graph, k)``;
+  ``NQ_k`` grows only the balls that can still raise the maximum (the
+  ball-containment bound ``NQ_k(v) <= NQ_k(u) + d(u, v)``; see DESIGN.md) and
+  is memoised per ``(graph, k)``;
 * ``_reference_*`` twins of every centralized function — the original
   Theta(n * m) formulations kept verbatim (on index-free primitives) as ground
   truth for the equivalence tests in ``tests/properties/test_nq_equivalence.py``;

@@ -35,6 +35,13 @@ is exact; on paths/grids/barbells it needs only a handful of BFS passes.  A
 running diameter *lower* bound (the largest eccentricity any full sweep has
 seen) often answers ``min(t1, D)`` without computing ``D`` at all.
 
+Graph-level ``NQ_k(G) = max_v NQ_k(v)`` (:meth:`GraphIndex.nq_value`)
+additionally skips balls that cannot raise the maximum: ``B_t(u)`` lies
+inside ``B_{t+d}(v)`` for ``d = d(u, v)``, so ``NQ_k(v) <= NQ_k(u) + d``, and
+each grown ball lowers a per-node upper bound for its members.  On a
+100x100 grid at ``k = n`` that grows 223 of 10^4 balls (see DESIGN.md,
+"Graph-level NQ: the ball-containment bound").
+
 The weighted engine
 -------------------
 
@@ -948,12 +955,21 @@ class GraphIndex:
         if not self.is_connected():
             raise ValueError("graph is disconnected; diameter undefined")
 
-    def _nq_grow(self, s: int, k: float, cap: Optional[int]) -> int:
+    def _nq_grow(
+        self,
+        s: int,
+        k: float,
+        cap: Optional[int],
+        bound: Optional[List[float]] = None,
+    ) -> int:
         """First radius ``t`` with ``|B_t(s)| >= k / t``, capped by the diameter.
 
         ``cap`` is an explicit diameter (when the caller supplied one);
         ``cap=None`` resolves the diameter lazily and only in the rare
-        saturated case.
+        saturated case.  ``bound`` is :meth:`nq_value`'s per-node upper-bound
+        list: once the answer ``t_s`` is known, every ball member ``v`` gets
+        ``bound[v] = min(bound[v], t_s + d(s, v))`` (the ball-containment
+        bound, see :meth:`nq_value`), read off the BFS levels already grown.
         """
         self._epoch += 1
         epoch = self._epoch
@@ -962,29 +978,38 @@ class GraphIndex:
         targets = self._targets
         visited[s] = epoch
         frontier = [s]
+        levels = [frontier]
         size = 1
         t = 0
         while True:
             t += 1
             if cap is not None and t > cap:
-                return cap
+                value = cap
+                break
             nxt = []
             for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
+                for v in targets[offsets[u] : offsets[u + 1]]:
                     if visited[v] != epoch:
                         visited[v] = epoch
                         nxt.append(v)
             if not nxt:
                 ecc = t - 1
+                if self._connected and ecc > self._diam_lb:
+                    self._diam_lb = ecc
+                value = self._saturated_nq(size, ecc, k, cap)
                 break
             size += len(nxt)
+            levels.append(nxt)
             if size >= k / t:
-                return t
+                value = t
+                break
             frontier = nxt
-        if self._connected and ecc > self._diam_lb:
-            self._diam_lb = ecc
-        return self._saturated_nq(size, ecc, k, cap)
+        if bound is not None:
+            for d, level in enumerate(levels, value):
+                for v in level:
+                    if d < bound[v]:
+                        bound[v] = d
+        return value
 
     def _saturated_nq(self, size: int, ecc: int, k: float, cap: Optional[int]) -> int:
         """Resolve ``NQ_k(v)`` once the BFS exhausted v's component unmet.
@@ -1038,7 +1063,18 @@ class GraphIndex:
         return {node: grow(i, k, None) for i, node in enumerate(self.nodes)}
 
     def nq_value(self, k: float) -> int:
-        """``NQ_k(G) = max_v NQ_k(v)``, memoised per ``k``."""
+        """``NQ_k(G) = max_v NQ_k(v)``, memoised per ``k``.
+
+        Only balls that can still raise the maximum are grown.  For any two
+        nodes ``u, v`` at distance ``d``, ``B_t(u)`` lies inside
+        ``B_{t+d}(v)``, so ``|B_{t_u+d}(v)| >= k / t_u >= k / (t_u + d)`` and
+        ``NQ_k(v) <= NQ_k(u) + d``; the diameter cap only lowers ``NQ_k(v)``,
+        so the bound holds for saturated and capped nodes too.  Each grown
+        ball lowers its members' entries in a per-node upper-bound list, and
+        a node whose bound is already at most the running maximum is skipped.
+        The result is exact; on a star or a grid most nodes are skipped,
+        while on a vertex-transitive graph (cycle, torus) none are.
+        """
         cached = self._nq_cache.get(k)
         if cached is not None:
             return cached
@@ -1049,9 +1085,12 @@ class GraphIndex:
             if k <= 0:
                 raise ValueError("k must be positive")
             grow = self._nq_grow
+            bound = [math.inf] * self.n
             value = 0
             for i in range(self.n):
-                candidate = grow(i, k, None)
+                if bound[i] <= value:
+                    continue
+                candidate = grow(i, k, None, bound)
                 if candidate > value:
                     value = candidate
         self._nq_cache[k] = value

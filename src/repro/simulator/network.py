@@ -577,14 +577,18 @@ class HybridSimulator:
                     words.take(positions),
                     positions,
                 )
+            # Gather before converting: a small shard costs O(shard), not a
+            # conversion of the whole plane.
             positions = (
                 positions.tolist() if hasattr(positions, "tolist") else list(positions)
             )
-            senders = senders.tolist()
-            receivers = receivers.tolist()
-            words = words.tolist()
-        else:
-            positions = list(positions)
+            return (
+                senders.take(positions).tolist(),
+                receivers.take(positions).tolist(),
+                words.take(positions).tolist(),
+                positions,
+            )
+        positions = list(positions)
         return (
             [senders[p] for p in positions],
             [receivers[p] for p in positions],

@@ -10,7 +10,9 @@ in the engine, never an acceptable approximation.
 """
 
 import math
+import random
 
+import networkx as nx
 import pytest
 
 from repro.core.neighborhood_quality import (
@@ -24,7 +26,14 @@ from repro.core.neighborhood_quality import (
     neighborhood_quality_per_node,
     nq_profile,
 )
-from repro.graphs.generators import GraphSpec, generate_graph
+from repro.graphs.generators import (
+    GraphSpec,
+    generate_graph,
+    grid_graph,
+    lollipop_graph,
+    star_graph,
+    torus_graph,
+)
 from repro.graphs.index import GraphIndex, get_index
 from repro.graphs.properties import (
     _reference_ball_sizes_all_radii,
@@ -159,3 +168,72 @@ def test_distributed_computation_matches_centralized(family, seed, backend):
     result = DistributedNQComputation(sim, k).run()
     assert result.nq == neighborhood_quality(graph, k)
     assert result.per_node == neighborhood_quality_per_node(graph, k)
+
+
+# ----------------------------------------------------------------------
+# Graph-level NQ pruning (the ball-containment bound in nq_value)
+# ----------------------------------------------------------------------
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    tree = nx.Graph()
+    tree.add_nodes_from(range(n))
+    tree.add_edges_from((child, rng.randrange(child)) for child in range(1, n))
+    return tree
+
+
+#: Inputs where the bound lets nq_value skip balls, and vertex-transitive
+#: inputs where every node has the same NQ_k, so no ball can be skipped.
+PRUNING_GRAPHS = {
+    "star": lambda: star_graph(200),
+    "lollipop": lambda: lollipop_graph(12, 60),
+    "barbell": lambda: generate_graph(GraphSpec.of("barbell", clique_size=8, path_length=60)),
+    "grid20": lambda: grid_graph(20, 2),
+    "random_tree": lambda: _random_tree(300, seed=7),
+}
+UNPRUNABLE_GRAPHS = {
+    "cycle": lambda: generate_graph(GraphSpec.of("cycle", n=90)),
+    "torus": lambda: torus_graph(12, 2),
+}
+
+
+def _count_grown_balls(index, k):
+    """``index.nq_value(k)`` plus the number of balls it grew."""
+    grown = [0]
+    grow = index._nq_grow
+
+    def counting_grow(*args):
+        grown[0] += 1
+        return grow(*args)
+
+    index._nq_grow = counting_grow
+    try:
+        return index.nq_value(k), grown[0]
+    finally:
+        del index._nq_grow
+
+
+@pytest.mark.parametrize("name", [*PRUNING_GRAPHS, *UNPRUNABLE_GRAPHS])
+def test_pruned_graph_level_nq_matches_reference(name):
+    make = {**PRUNING_GRAPHS, **UNPRUNABLE_GRAPHS}[name]
+    graph = make()
+    n = graph.number_of_nodes()
+    for k in _workloads(n):
+        index = GraphIndex(graph)
+        value, grown = _count_grown_balls(index, k)
+        assert value == _reference_neighborhood_quality(graph, k), f"{name} k={k}"
+        if name in UNPRUNABLE_GRAPHS:
+            assert grown == n, f"{name} k={k}"
+        elif k == n:
+            assert grown < n, f"{name} k={k}"
+
+
+def test_pruning_skips_most_grid_balls():
+    graph = grid_graph(40, 2)
+    n = graph.number_of_nodes()
+    index = GraphIndex(graph)
+    value, grown = _count_grown_balls(index, n)
+    # The unpruned maximum (per-node values are pinned to the reference above).
+    assert value == max(neighborhood_quality_per_node(graph, n).values())
+    assert grown < n / 4
+    # Skipping sweeps only changes when the diameter gets resolved, not its value.
+    assert index.diameter() == _reference_diameter(graph)

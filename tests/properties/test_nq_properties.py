@@ -8,18 +8,24 @@ connected graphs:
 * Lemma 3.7:        NQ_{alpha k} <= 6 sqrt(alpha) NQ_k.
 * Lemma 3.8:        there is a node v with |B_r(v)| < k / r for all r < NQ_k.
 * Monotonicity:     NQ_k is non-decreasing in k.
+* Ball containment: NQ_k(v) <= NQ_k(u) + d(u, v), so NQ_k differs by at most
+                    one across an edge (the bound graph-level NQ_k prunes by).
 """
 
 import math
+import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.neighborhood_quality import (
     neighborhood_quality,
     neighborhood_quality_per_node,
 )
+from repro.graphs.generators import generate_graph
 from repro.graphs.properties import ball_size, diameter
+from test_nq_equivalence import CASES, FAMILY_SPECS, _workloads
 
 
 # ----------------------------------------------------------------------
@@ -121,3 +127,28 @@ def test_max_over_nodes_definition(data):
     graph, k = data
     per_node = neighborhood_quality_per_node(graph, k)
     assert neighborhood_quality(graph, k) == max(per_node.values())
+
+
+@pytest.mark.parametrize("family,seed", CASES)
+def test_ball_containment_bound(family, seed):
+    graph = generate_graph(FAMILY_SPECS[family](seed))
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes)
+    # Far pairs: each sampled source with its farthest node and one random
+    # node at distance >= 2.
+    far_pairs = []
+    for u in rng.sample(nodes, 6):
+        dist = nx.single_source_shortest_path_length(graph, u)
+        farthest = max(nodes, key=lambda v: (dist[v], v))
+        distant = [v for v in nodes if dist[v] >= 2]
+        far_pairs.append((u, farthest, dist[farthest]))
+        if distant:
+            v = rng.choice(distant)
+            far_pairs.append((u, v, dist[v]))
+    for k in _workloads(graph.number_of_nodes()):
+        per_node = neighborhood_quality_per_node(graph, k)
+        for u, v in graph.edges:
+            assert abs(per_node[u] - per_node[v]) <= 1, (family, seed, k, u, v)
+        for u, v, d in far_pairs:
+            assert per_node[v] <= per_node[u] + d, (family, seed, k, u, v)
+            assert per_node[u] <= per_node[v] + d, (family, seed, k, u, v)

@@ -536,6 +536,56 @@ class TestBatchSending:
             sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
 
+    def test_small_shards_of_a_large_plane_cost_the_shard(self):
+        """Single-position shards of a 1000-token plane deliver exactly what
+        one bulk shard per round delivers, and no column conversion touches
+        more elements than the shard it serves."""
+        from repro.simulator import _accel
+        from repro.simulator.engine import TokenPlane
+
+        np = _accel.np
+        if np is None:
+            pytest.skip("column conversions are only observable on NumPy planes")
+        converted = []
+
+        class RecordingColumn(np.ndarray):
+            def tolist(self):
+                converted.append(self.size)
+                return super().tolist()
+
+        n, rounds = 40, 25
+        senders = [i % n for i in range(n * rounds)]
+        receivers = [(7 * i + 1 + i // n) % n for i in range(n * rounds)]
+        receivers = [r if r != s else (r + 1) % n for s, r in zip(senders, receivers)]
+        payloads = [("token", i) for i in range(n * rounds)]
+        words = [payload_words(p) for p in payloads]
+
+        def run(single):
+            sim = HybridSimulator(complete_graph(n), ModelConfig.hybrid0(), seed=0)
+            plane = TokenPlane(senders, receivers, words, payloads)
+            if single:
+                for column in ("senders", "receivers", "words"):
+                    setattr(plane, column, getattr(plane, column).view(RecordingColumn))
+            inboxes = []
+            for r in range(rounds):
+                positions = range(r * n, (r + 1) * n)
+                if single:
+                    for p in positions:
+                        sim.global_send_plane(plane, [p], tag="s")
+                else:
+                    sim.global_send_plane(plane, list(positions), tag="s")
+                sim.advance_round()
+                inboxes.append(sim.per_node_inbox(GLOBAL_MODE))
+            return sim, inboxes
+
+        shard_sim, shard_inboxes = run(single=True)
+        bulk_sim, bulk_inboxes = run(single=False)
+        assert shard_inboxes == bulk_inboxes
+        assert sum(len(v) for inbox in shard_inboxes for v in inbox.values()) == n * rounds
+        assert shard_sim.metrics.summary() == bulk_sim.metrics.summary()
+        assert shard_sim.metrics.global_messages == n * rounds
+        assert converted and max(converted) <= 1
+
     def test_exchange_does_not_harvest_foreign_traffic(self):
         from repro.simulator.engine import batched_global_exchange
 
