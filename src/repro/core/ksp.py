@@ -44,10 +44,10 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dissemination import KDissemination
 from repro.core.helper_sets import compute_classic_helper_sets
-from repro.core.skeleton import SkeletonGraph, build_skeleton
+from repro.core.skeleton import SkeletonGraph, build_skeleton, closest_skeleton_node
 from repro.core.sssp import sssp_round_cost
 from repro.graphs.index import SSSPRowCache, get_index
-from repro.graphs.properties import h_hop_limited_distances, weighted_distances_from
+from repro.graphs.properties import h_hop_limited_distances
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.metrics import RoundMetrics
@@ -181,30 +181,19 @@ class KSourceShortestPaths(BatchAlgorithm):
 
     def _phase_proxy_sources(self) -> None:
         """Proxy sources: for arbitrary sources, each source tags the closest
-        skeleton node within h hops (Lemma 6.3 guarantees one exists w.h.p.)
-        and the proxy offsets are made public with Theorem 1 — a physically
-        simulated k-dissemination instance."""
+        skeleton node within h hops (Lemma 6.3 guarantees one exists w.h.p.;
+        read from the skeleton's own exploration by
+        :func:`~repro.core.skeleton.closest_skeleton_node`) and the proxy
+        offsets are made public with Theorem 1 — a physically simulated
+        k-dissemination instance."""
         sim = self.simulator
-        graph = sim.graph
-        h = self.skeleton.h
         skeleton_set = self._skeleton_set
         for source in self.sources:
             if source in skeleton_set:
                 self._proxy_of[source] = source
                 self._proxy_offset[source] = 0.0
                 continue
-            limited = h_hop_limited_distances(graph, source, h)
-            candidates = {
-                node: dist for node, dist in limited.items() if node in skeleton_set
-            }
-            if not candidates:
-                # Fall back to the globally closest skeleton node (can only
-                # happen on tiny or pathological instances).
-                full = weighted_distances_from(graph, source)
-                candidates = {
-                    node: dist for node, dist in full.items() if node in skeleton_set
-                }
-            proxy, offset = min(candidates.items(), key=lambda kv: (kv[1], str(kv[0])))
+            proxy, offset = closest_skeleton_node(self.skeleton, sim.graph, source)
             self._proxy_of[source] = proxy
             self._proxy_offset[source] = offset
         if not self.sources_in_skeleton:

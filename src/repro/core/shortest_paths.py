@@ -50,12 +50,11 @@ from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.dissemination import KDissemination
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.routing import KLRouting, RoutingScenario
-from repro.core.skeleton import build_skeleton
+from repro.core.skeleton import build_skeleton, closest_skeleton_node
 from repro.core.spanner import distributed_spanner, greedy_spanner
 from repro.core.sssp import approx_sssp_distances, sssp_round_cost
 from repro.core.ksp import KSourceShortestPaths
 from repro.graphs.index import GraphIndex, SSSPRowCache, get_index
-from repro.graphs.properties import h_hop_limited_distances, weighted_distances_from
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.metrics import RoundMetrics
@@ -680,9 +679,13 @@ class SkeletonAPSP(BatchAlgorithm):
 
     The three Theorem 1 broadcasts (node identifiers, the skeleton spanner,
     every node's closest skeleton node) are physically simulated
-    :class:`~repro.core.dissemination.KDissemination` instances; the h-hop
-    limited tables run on the :class:`~repro.graphs.index.GraphIndex`
-    flat-array Bellman-Ford.
+    :class:`~repro.core.dissemination.KDissemination` instances.  The h-hop
+    limited distances run on the :class:`~repro.graphs.index.GraphIndex`
+    flat-array Bellman-Ford, once per skeleton node in
+    :func:`~repro.core.skeleton.build_skeleton`, whose rows also give every
+    node its closest skeleton node (``d^h`` is symmetric).  A node's own
+    ``d^h(v, .)`` row is computed only when the returned table builds
+    ``v``'s row, against the graph index version recorded in :meth:`finish`.
     """
 
     def __init__(
@@ -704,7 +707,6 @@ class SkeletonAPSP(BatchAlgorithm):
         self._skeleton = None
         self._spanner: Optional[nx.Graph] = None
         self._skeleton_rows: Optional[SSSPRowCache] = None
-        self._limited: Dict[Node, Dict[Node, float]] = {}
         self._closest_skeleton: Dict[Node, Tuple[Node, float]] = {}
 
     def phases(self):
@@ -773,25 +775,18 @@ class SkeletonAPSP(BatchAlgorithm):
         self._skeleton_rows = SSSPRowCache(get_index(self._spanner))
 
     def _phase_local_exploration(self) -> None:
-        """Every node learns its h-hop neighborhood (GraphIndex Bellman-Ford)
-        and broadcasts its closest skeleton node (Theorem 1, physical)."""
+        """Every node learns its h-hop neighborhood and broadcasts its closest
+        skeleton node (Theorem 1, physical).  The closest skeleton node comes
+        from the skeleton's own exploration (:attr:`SkeletonGraph.closest`);
+        the per-node rows are left to :meth:`finish`'s row factory."""
         sim = self.simulator
         skeleton = self._skeleton
-        h = skeleton.h
-        sim.charge_rounds(h, "h-hop local neighborhood exploration", "Theorem 8")
-        self._limited = {
-            v: h_hop_limited_distances(sim.graph, v, h) for v in sim.nodes
+        sim.charge_rounds(
+            skeleton.h, "h-hop local neighborhood exploration", "Theorem 8"
+        )
+        self._closest_skeleton = {
+            v: closest_skeleton_node(skeleton, sim.graph, v) for v in sim.nodes
         }
-        skeleton_set = set(skeleton.skeleton_nodes)
-        for v in sim.nodes:
-            candidates = {
-                u: d for u, d in self._limited[v].items() if u in skeleton_set
-            }
-            if not candidates:
-                full = weighted_distances_from(sim.graph, v)
-                candidates = {u: d for u, d in full.items() if u in skeleton_set}
-            best, dist = min(candidates.items(), key=lambda kv: (kv[1], str(kv[0])))
-            self._closest_skeleton[v] = (best, dist)
         KDissemination(
             sim,
             _label_tokens(sim, self._closest_skeleton, "apsp-cs"),
@@ -801,9 +796,11 @@ class SkeletonAPSP(BatchAlgorithm):
 
     def finish(self) -> DenseDistanceTable:
         sim = self.simulator
-        limited = self._limited
+        h = self._skeleton.h
         closest_skeleton = self._closest_skeleton
         skeleton_rows = self._skeleton_rows
+        graph_index = get_index(sim.graph)
+        graph_version = graph_index.version
         columns = list(sim.nodes)
         inf = math.inf
 
@@ -815,16 +812,20 @@ class SkeletonAPSP(BatchAlgorithm):
         )
         cs_dist = array("d", (closest_skeleton[w][1] for w in columns))
 
-        # Algorithm 4 estimate, one lazy row per target: the skeleton-spanner
-        # Dijkstra row of v's closest skeleton node is pulled (and cached) on
-        # first use, so a consumer reading only a few targets never pays for
-        # an all-skeleton sweep.  ``(d_v_vs + row[cs_pos]) + cs_dist`` keeps
-        # the reference formula's left-to-right association, so the values
-        # are bit-identical to the eager dict-of-dicts construction.
+        # Algorithm 4 estimate, one lazy row per target: v's h-hop limited
+        # row and the skeleton-spanner Dijkstra row of v's closest skeleton
+        # node are computed on first use, so a consumer reading only a few
+        # targets never pays for an all-node or all-skeleton sweep.  The
+        # h-hop row reads ``sim.graph``'s index, so it checks the version
+        # recorded here: a row first read after a mutation raises
+        # StaleIndexError instead of mixing two graphs in one table.
+        # ``(d_v_vs + row[cs_pos]) + cs_dist`` keeps the reference formula's
+        # left-to-right association.
         def make_row(v: Node) -> List[float]:
+            graph_index.ensure_current(graph_version)
             v_s, d_v_vs = closest_skeleton[v]
             skeleton_row = skeleton_rows.row(v_s)
-            lim = limited[v]
+            lim = graph_index.h_hop_limited_distances(v, h)
             return [
                 min(lim.get(w, inf), (d_v_vs + skeleton_row[cs_pos[j]]) + cs_dist[j])
                 for j, w in enumerate(columns)

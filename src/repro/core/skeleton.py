@@ -16,6 +16,10 @@ Lemma 6.3 (well-known, from [AHK+20]):
 The construction only uses ``h`` rounds of local-mode communication (each
 sampled node explores its ``h``-hop neighborhood), which is what the
 distributed wrapper charges.
+
+Because ``d^h`` is symmetric, the same exploration also gives every node its
+closest skeleton node within ``h`` hops (``SkeletonGraph.closest``, read
+through :func:`closest_skeleton_node` by Theorems 8 and 14).
 """
 
 from __future__ import annotations
@@ -27,12 +31,18 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.graphs.properties import h_hop_limited_distances
+from repro.graphs.index import get_index
+from repro.graphs.properties import weighted_distances_from
 from repro.simulator.network import HybridSimulator
 
 Node = Hashable
 
-__all__ = ["SkeletonGraph", "build_skeleton", "distributed_skeleton"]
+__all__ = [
+    "SkeletonGraph",
+    "build_skeleton",
+    "closest_skeleton_node",
+    "distributed_skeleton",
+]
 
 #: The constant ``xi`` in ``h = xi * x * ln n``.  The paper only needs it to be a
 #: "sufficiently large constant"; 3 keeps the hitting-set property reliable on
@@ -43,12 +53,18 @@ DEFAULT_XI = 3.0
 
 @dataclasses.dataclass
 class SkeletonGraph:
-    """A skeleton graph together with its construction parameters."""
+    """A skeleton graph together with its construction parameters.
+
+    ``closest[v]`` is ``(s, d^h(s, v))`` for the skeleton node ``s``
+    minimising ``(d^h(s, v), str(s))``; nodes with no skeleton node within
+    ``h`` hops have no entry (see :func:`closest_skeleton_node`).
+    """
 
     graph: nx.Graph
     skeleton_nodes: List[Node]
     sampling_probability: float
     h: int
+    closest: Dict[Node, Tuple[Node, float]]
 
     @property
     def node_count(self) -> int:
@@ -71,6 +87,12 @@ def build_skeleton(
     ``forced_nodes`` are always included in the skeleton (used by the k-SSP
     algorithm when the sources must be part of the skeleton, Lemma 9.4 /
     Theorem 14 "random sources" case).
+
+    One ``h``-hop Bellman-Ford per skeleton node, in ``str`` order, builds
+    the skeleton edges.  The same walk fills :attr:`SkeletonGraph.closest`:
+    a row's entry replaces a node's current best only when strictly closer,
+    so ties go to the smaller ``str(s)``.  That is O(n) extra memory; the
+    rows themselves are not kept.
     """
     if not 0.0 < sampling_probability <= 1.0:
         raise ValueError("sampling_probability must lie in (0, 1]")
@@ -93,9 +115,14 @@ def build_skeleton(
     skeleton = nx.Graph()
     skeleton.add_nodes_from(skeleton_nodes)
     ordered = sorted(skeleton_nodes, key=str)
+    index = get_index(graph)
+    closest: Dict[Node, Tuple[Node, float]] = {}
     for node in ordered:
-        limited = h_hop_limited_distances(graph, node, h)
+        limited = index.h_hop_limited_distances(node, h)
         for other, dist in limited.items():
+            best = closest.get(other)
+            if best is None or dist < best[1]:
+                closest[other] = (node, dist)
             if other == node or other not in skeleton_nodes:
                 continue
             existing = skeleton.get_edge_data(node, other)
@@ -107,7 +134,27 @@ def build_skeleton(
         skeleton_nodes=ordered,
         sampling_probability=sampling_probability,
         h=h,
+        closest=closest,
     )
+
+
+def closest_skeleton_node(
+    skeleton: SkeletonGraph, graph: nx.Graph, node: Node
+) -> Tuple[Node, float]:
+    """``node``'s closest skeleton node and its distance.
+
+    Within ``h`` hops this is :attr:`SkeletonGraph.closest`.  A node with no
+    skeleton node within ``h`` hops (Lemma 6.3 rules this out w.h.p.; it
+    happens on tiny or pathological instances) falls back to one full
+    Dijkstra from ``node``, with the same ``(distance, str)`` tie-break.
+    """
+    best = skeleton.closest.get(node)
+    if best is not None:
+        return best
+    skeleton_set = set(skeleton.skeleton_nodes)
+    full = weighted_distances_from(graph, node)
+    candidates = {u: d for u, d in full.items() if u in skeleton_set}
+    return min(candidates.items(), key=lambda kv: (kv[1], str(kv[0])))
 
 
 def distributed_skeleton(

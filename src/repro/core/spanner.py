@@ -50,10 +50,15 @@ def greedy_spanner(graph: nx.Graph, t: int) -> nx.Graph:
         graph.edges(data=True),
         key=lambda item: (item[2].get("weight", 1), str(item[0]), str(item[1])),
     )
+    # Only "is there a spanner path of length <= stretch * weight?" matters,
+    # so each Dijkstra stops at that cutoff; a path beyond it reads as inf,
+    # which takes the same keep/add branch as its exact length would.
     for u, v, data in edges:
         weight = data.get("weight", 1)
         try:
-            current = nx.dijkstra_path_length(spanner, u, v, weight="weight")
+            current, _ = nx.single_source_dijkstra(
+                spanner, u, v, cutoff=stretch * weight, weight="weight"
+            )
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             current = math.inf
         if current > stretch * weight:

@@ -11,7 +11,9 @@ Four layers of cross-validation over six graph families x three seeds:
   BCC bridge delivers every broadcast vector exactly;
 * **dense-vs-reference equivalence** — the :class:`DenseDistanceTable`
   assembled from GraphIndex flat-array sweeps equals, entry for entry, the
-  dict-BFS formulation of Algorithm 3 that the seed implementation used;
+  dict-BFS formulation of Algorithm 3 that the seed implementation used, and
+  SkeletonAPSP's skeleton-rooted closest-skeleton labels and lazy rows equal
+  the per-node (v-rooted) formulation of Algorithm 4;
 * **primitive equivalence** — the index-backed graph primitives
   (``weak_diameter``, ``h_hop_limited_distances``, ``all_hop_distances``)
   equal their ``_reference_*`` ground-truth counterparts exactly.
@@ -20,6 +22,7 @@ Four layers of cross-validation over six graph families x three seeds:
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from repro.baselines.centralized import exact_apsp, max_stretch_of_table
@@ -41,10 +44,12 @@ from repro.graphs.generators import (
     grid_graph,
     path_graph,
 )
+from repro.graphs.index import GraphIndex, invalidate_index
 from repro.graphs.properties import (
     _reference_all_hop_distances,
     _reference_h_hop_limited_distances,
     _reference_weak_diameter,
+    _reference_weighted_distances_from,
     all_hop_distances,
     h_hop_limited_distances,
     hop_distances_from,
@@ -196,6 +201,128 @@ def test_weighted_apsp_stays_within_its_stretch(case):
         limit = table.stretch_bound if bound is None else bound
         assert max_stretch_of_table(truth, table.estimates) <= limit + 1e-6
         assert sim.metrics.capacity_violations == 0
+
+
+# ----------------------------------------------------------------------
+# SkeletonAPSP: skeleton-rooted labels and lazy rows == the per-node rule
+# ----------------------------------------------------------------------
+def _argmin_skeleton(distances, skeleton_set):
+    candidates = {s: d for s, d in distances.items() if s in skeleton_set}
+    if not candidates:
+        return None
+    return min(candidates.items(), key=lambda kv: (kv[1], str(kv[0])))
+
+
+def _reference_skeleton_apsp(graph, algorithm):
+    """Algorithm 4 the per-node way: one v-rooted h-hop row per node, the
+    argmin over ``(d^h(v, s), str(s))`` with a full-Dijkstra fallback, and
+    the eager row formula over those rows."""
+    skeleton = algorithm._skeleton
+    skeleton_set = set(skeleton.skeleton_nodes)
+    limited = {
+        v: _reference_h_hop_limited_distances(graph, v, skeleton.h)
+        for v in graph.nodes
+    }
+    closest = {}
+    for v in graph.nodes:
+        best = _argmin_skeleton(limited[v], skeleton_set)
+        if best is None:
+            best = _argmin_skeleton(
+                _reference_weighted_distances_from(graph, v), skeleton_set
+            )
+        closest[v] = best
+    spanner_rows = {
+        s: nx.single_source_dijkstra_path_length(algorithm._spanner, s)
+        for s in {s for s, _ in closest.values()}
+    }
+    rows = {}
+    for v in graph.nodes:
+        v_s, d_v_vs = closest[v]
+        rows[v] = {
+            w: min(
+                limited[v].get(w, math.inf),
+                (d_v_vs + spanner_rows[v_s].get(closest[w][0], math.inf))
+                + closest[w][1],
+            )
+            for w in graph.nodes
+        }
+    return closest, rows
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_skeleton_apsp_matches_the_per_node_reference(case, backend):
+    """Integer weights: every partial sum is exact, so ``d^h(s, v)`` and
+    ``d^h(v, s)`` agree bit for bit and the skeleton-rooted labels and rows
+    equal the per-node formulation exactly."""
+    family, seed = case
+    graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed)
+    table = algorithm.run()
+    closest, rows = _reference_skeleton_apsp(graph, algorithm)
+    assert algorithm._closest_skeleton == closest
+    for v in table.targets():
+        assert list(table.row(v)) == [rows[v][w] for w in table.columns()]
+
+
+def _float_weights(graph, seed):
+    rng = random.Random(seed)
+    for u, v in sorted(graph.edges, key=lambda e: (str(e[0]), str(e[1]))):
+        graph[u][v]["weight"] = rng.uniform(0.1, 9.0)
+    invalidate_index(graph)
+    return graph
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_skeleton_apsp_float_labels_are_skeleton_rooted(case, backend):
+    """Float weights: a label's distance is the skeleton-rooted sum
+    ``d^h(s, v)``, which may differ from the v-rooted sum only in the last
+    bits; the stretch guarantee is unaffected."""
+    family, seed = case
+    graph = _float_weights(GRAPH_FAMILIES[family](seed), seed)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed)
+    table = algorithm.run()
+    skeleton = algorithm._skeleton
+    h = skeleton.h
+    skeleton_rows = {
+        s: _reference_h_hop_limited_distances(graph, s, h)
+        for s in skeleton.skeleton_nodes
+    }
+    for v, (s, dist) in algorithm._closest_skeleton.items():
+        reached = {t: row[v] for t, row in skeleton_rows.items() if v in row}
+        if not reached:
+            continue  # full-Dijkstra fallback, checked in the unit tests
+        assert (s, dist) == min(reached.items(), key=lambda kv: (kv[1], str(kv[0])))
+        assert dist == skeleton_rows[s][v]
+        v_rooted = _reference_h_hop_limited_distances(graph, v, h)[s]
+        assert abs(dist - v_rooted) <= 1e-12 * max(dist, v_rooted)
+    truth = exact_apsp(graph)
+    assert max_stretch_of_table(truth, table.estimates) <= 3 + 1e-6
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_skeleton_apsp_runs_one_h_hop_row_per_skeleton_node(case, monkeypatch):
+    """``run()`` explores from the skeleton nodes only; a node's own h-hop
+    row is computed when its table row is first read."""
+    family, seed = case
+    graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
+    calls = []
+    original = GraphIndex.h_hop_limited_distances
+
+    def counting(self, source, h):
+        calls.append(source)
+        return original(self, source, h)
+
+    monkeypatch.setattr(GraphIndex, "h_hop_limited_distances", counting)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed)
+    table = algorithm.run()
+    assert calls == algorithm._skeleton.skeleton_nodes
+    target = table.targets()[-1]
+    table.row(target)
+    table.row(target)
+    assert calls[len(algorithm._skeleton.skeleton_nodes) :] == [target]
 
 
 # ----------------------------------------------------------------------

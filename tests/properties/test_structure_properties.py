@@ -128,6 +128,51 @@ def test_greedy_spanner_stretch_property(graph, t):
         assert graph.has_edge(u, v)
 
 
+def _reference_greedy_spanner(graph, t):
+    """Unbounded greedy spanner: the exact spanner distance of every pair,
+    compared to ``(2t - 1) * weight`` (the pre-cutoff formulation)."""
+    stretch = 2 * t - 1
+    spanner = nx.Graph()
+    spanner.add_nodes_from(graph.nodes)
+    edges = sorted(
+        graph.edges(data=True),
+        key=lambda item: (item[2].get("weight", 1), str(item[0]), str(item[1])),
+    )
+    for u, v, data in edges:
+        weight = data.get("weight", 1)
+        try:
+            current = nx.dijkstra_path_length(spanner, u, v, weight="weight")
+        except nx.NetworkXNoPath:
+            current = math.inf
+        if current > stretch * weight:
+            spanner.add_edge(u, v, weight=weight)
+    return spanner
+
+
+@st.composite
+def mixed_weight_graphs(draw):
+    """Connected graphs whose edges mix integer and float weights."""
+    graph = draw(connected_graphs(min_nodes=5, max_nodes=24))
+    for u, v in sorted(graph.edges):
+        graph[u][v]["weight"] = draw(
+            st.one_of(
+                st.integers(min_value=1, max_value=9),
+                st.floats(min_value=0.1, max_value=9.0, allow_nan=False),
+            )
+        )
+    return graph
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_weight_graphs(), st.integers(min_value=1, max_value=3))
+def test_greedy_spanner_cutoff_matches_the_unbounded_reference(graph, t):
+    spanner = greedy_spanner(graph, t)
+    reference = _reference_greedy_spanner(graph, t)
+    assert sorted(spanner.edges(data="weight")) == sorted(
+        reference.edges(data="weight")
+    )
+
+
 # ----------------------------------------------------------------------
 # Payload size model
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs import index as index_module
-from repro.graphs.generators import cycle_graph, path_graph
+from repro.graphs.generators import cycle_graph, grid_graph, path_graph
 from repro.graphs.index import (
     GraphIndex,
     SSSPRowCache,
@@ -27,7 +27,8 @@ from repro.graphs.index import (
 )
 from repro.graphs.mutation import GraphMutator
 from repro.graphs.properties import h_hop_limited_distances, weighted_distances_from
-from repro.core.shortest_paths import DenseDistanceTable
+from repro.graphs.weighted import assign_random_weights
+from repro.core.shortest_paths import DenseDistanceTable, SkeletonAPSP
 from repro.simulator.config import ModelConfig
 from repro.simulator.errors import StaleGraphError, UnknownIdentifierError
 from repro.simulator.faults import FaultSchedule, LinkFailure
@@ -289,6 +290,30 @@ def test_dense_distance_table_guard_raises_after_mutation():
         table.estimate(0, 5)
     with pytest.raises(StaleIndexError):
         table.estimates
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda graph: GraphMutator(graph).update_weight(0, 1, 7),
+        invalidate_index,
+    ],
+    ids=["weight-edit", "invalidate"],
+)
+def test_skeleton_apsp_lazy_rows_refuse_a_mutated_graph(mutate):
+    # SkeletonAPSP's rows read sim.graph's index when first built; a row
+    # first read after an edit must not mix the edited graph into a table
+    # whose labels came from the original one.
+    graph = assign_random_weights(grid_graph(5, 2), max_weight=9, seed=3)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=3)
+    table = SkeletonAPSP(sim, alpha=1, seed=3).run()
+    read, unread = table.targets()[:2]
+    table.row(read)
+    mutate(sim.graph)
+    with pytest.raises(StaleIndexError):
+        table.row(unread)
+    with pytest.raises(StaleIndexError):
+        table.estimate(unread, read)
 
 
 def test_dense_distance_table_without_guard_is_unchecked():

@@ -6,7 +6,11 @@ import math
 import networkx as nx
 import pytest
 
-from repro.core.skeleton import build_skeleton, distributed_skeleton
+from repro.core.skeleton import (
+    build_skeleton,
+    closest_skeleton_node,
+    distributed_skeleton,
+)
 from repro.core.spanner import (
     baswana_sen_spanner,
     distributed_spanner,
@@ -60,6 +64,26 @@ class TestSkeleton:
         for node in g.nodes:
             window = range(max(0, node - skeleton.h), min(79, node + skeleton.h) + 1)
             assert any(w in skeleton_set for w in window)
+
+    def test_closest_skeleton_node_falls_back_to_a_full_dijkstra(self):
+        # xi = 0.1 shrinks h to 5 hops on a 60-node path, so nodes far from
+        # every skeleton node have no skeleton node within h hops.
+        g = path_graph(60)
+        skeleton = build_skeleton(g, 0.1, seed=2, xi=0.1)
+        assert skeleton.h == 5
+        assert skeleton.skeleton_nodes == [10, 11, 27, 28, 35]
+        assert 19 not in skeleton.closest
+        # Node 19 is 8 hops from both 11 and 27: the tie goes to str order.
+        assert closest_skeleton_node(skeleton, g, 19) == (11, 8.0)
+        skeleton_set = set(skeleton.skeleton_nodes)
+        for node in g.nodes:
+            found = closest_skeleton_node(skeleton, g, node)
+            if node in skeleton.closest:
+                assert found == skeleton.closest[node]
+                continue
+            full = nx.single_source_dijkstra_path_length(g, node)
+            candidates = {s: d for s, d in full.items() if s in skeleton_set}
+            assert found == min(candidates.items(), key=lambda kv: (kv[1], str(kv[0])))
 
     def test_probability_one_includes_every_node(self):
         g = cycle_graph(12)
